@@ -10,14 +10,13 @@ with a diagnostic on stderr otherwise.
 """
 
 import argparse
-import math
 import os
 import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from .estimate import pooled_profile
+from .estimate import pooled_profile, validity_bound
 from .geometry import X_AXIS, Y_AXIS, Z_AXIS
 from .isotest import TestConfig, power_curve_from_patterns
 from .patternio import read_patterns, write_csv, write_pattern
@@ -142,12 +141,8 @@ def _kinds(kind: str) -> tuple:
     raise ValueError(f"kind must be conical, cylindrical, or both, got {kind!r}")
 
 
-def _validity_bound(window: BoxWindow, a: float) -> float:
-    return float(np.min(window.sides)) / math.sqrt(a * a + 1.0)
-
-
 def _check_r_max(window, a, r_max, what):
-    bound = _validity_bound(window, a)
+    bound = validity_bound(window, a)
     if r_max >= bound:
         raise ValueError(
             f"{what} {r_max:.6g} is out of range for this window: the derived "
@@ -204,7 +199,7 @@ def cmd_estimate(args, config) -> None:
     window = patterns[0].window
     r_max = _resolve(args, config, "r_max")
     if r_max is None:
-        r_max = 0.45 * _validity_bound(window, a)
+        r_max = 0.45 * validity_bound(window, a)
     _check_r_max(window, a, r_max, "--r-max")
     grid = np.linspace(0.0, r_max, n_grid)
 

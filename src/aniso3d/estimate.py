@@ -133,7 +133,7 @@ def pattern_pairs(pattern: PointPattern, extent: float) -> PatternPairs:
         return PatternPairs(empty, np.empty(0), np.empty(0), pattern.n,
                             pattern.window, extent)
     pairs = cKDTree(pts).query_pairs(extent, output_type="ndarray")
-    pairs = pairs[np.lexsort((pairs[:, 1], pairs[:, 0]))]
+    pairs = pairs[np.argsort(pairs[:, 0].astype(np.int64) * pattern.n + pairs[:, 1])]
     vec = pts[pairs[:, 1]] - pts[pairs[:, 0]]
     weight = 1.0 / np.prod(pattern.window.sides - np.abs(vec), axis=1)
     return PatternPairs(vec, _norms(vec), weight, pattern.n, pattern.window, extent)
@@ -213,8 +213,7 @@ def pair_numerators(pairs: PatternPairs, u, kind: str, r_grid, a: float) -> np.n
         )
     else:
         raise ValueError(f"kind must be one of {KINDS}, got {kind!r}")
-    acc = np.zeros(r_grid.size)
-    np.add.at(acc, idx, 2.0 * pairs.weight[keep])
+    acc = np.bincount(idx, weights=2.0 * pairs.weight[keep], minlength=r_grid.size)
     return np.cumsum(acc)
 
 
@@ -240,6 +239,17 @@ def k_profile(pattern: PointPattern, u, kind: str, r_grid, a: float) -> KProfile
     return KProfile(kind, u, r_grid, values, a)
 
 
+def require_common_window(patterns, what: str) -> None:
+    """Raise ValueError unless every pattern has the first one's window sides."""
+    sides = patterns[0].window.sides
+    for p in patterns[1:]:
+        if not np.array_equal(p.window.sides, sides):
+            raise ValueError(
+                f"{what} must share the window shape: {p.window.sides} "
+                f"differs from {sides}"
+            )
+
+
 def pooled_profile(
     patterns, u, kind: str, r_grid, a: float, method: str = "ratio-of-sums"
 ) -> KProfile:
@@ -257,13 +267,7 @@ def pooled_profile(
         raise ValueError(f"unknown pooling method {method!r}")
     u = as_direction(u)
     r_grid = _check_grid(r_grid)
-    sides = patterns[0].window.sides
-    for p in patterns[1:]:
-        if not np.array_equal(p.window.sides, sides):
-            raise ValueError(
-                f"pooled patterns must share the window shape: {p.window.sides} "
-                f"differs from {sides}"
-            )
+    require_common_window(patterns, "pooled patterns")
     if r_grid.size == 0:
         return KProfile(kind, u, r_grid, np.empty(0), a)
     extent = profile_extent(r_grid[-1], a)
@@ -287,12 +291,15 @@ def pooled_profile(
     return KProfile(kind, u, r_grid, values, a)
 
 
-def default_r_grid(window: BoxWindow, a: float, n: int = 512) -> np.ndarray:
-    """Evenly spaced radii from 0 keeping all derived extents valid.
+def validity_bound(window: BoxWindow, a: float) -> float:
+    """Exclusive upper bound ``min_side / sqrt(a^2 + 1)`` on grid radii.
 
-    The top radius is ``0.45 * min_side / sqrt(a^2 + 1)``, so even the
-    cone's slant reach stays well below the smallest window side where
-    translation weights degenerate.
+    Below it, even the cone's slant reach at aspect ratio ``a`` stays
+    inside the smallest window side, where translation weights degenerate.
     """
-    r_max = 0.45 * float(np.min(window.sides)) / math.sqrt(a * a + 1.0)
-    return np.linspace(0.0, r_max, n)
+    return float(np.min(window.sides)) / math.sqrt(a * a + 1.0)
+
+
+def default_r_grid(window: BoxWindow, a: float, n: int = 512) -> np.ndarray:
+    """Evenly spaced radii from 0 to ``0.45 * validity_bound(window, a)``."""
+    return np.linspace(0.0, 0.45 * validity_bound(window, a), n)

@@ -9,8 +9,13 @@ directional K-curves through two integrated absolute differences::
 
 Isotropy is rejected for a replicate when its T_z exceeds the empirical
 (1 - alpha) quantile of the T_xy sample; the power of the test is the
-rejected fraction.  Power curves sweep the integration bound r2, reusing
-one simulated campaign and cumulative integrals for all bounds.
+rejected fraction.  Power curves sweep the integration bound r2 on one
+simulated campaign.  Every statistic takes one path: each replicate's x,
+y and z profiles come from one pair extraction on an even grid over
+[0, max r2], their absolute differences are formed once, and one
+trapezoidal rule integrates them up to each bound.  `run_test` is the
+sweep at a single bound.  Replicates must share one window shape and hold
+at least 2 points each; otherwise the sweep raises ValueError up front.
 
 The size of the test is at most alpha and usually well below it.  Under
 isotropy in a cube T_xy, T_xz and T_yz are exchangeable, so each single
@@ -34,6 +39,7 @@ from .estimate import (
     pair_numerators,
     pattern_pairs,
     profile_extent,
+    require_common_window,
 )
 from .geometry import X_AXIS, Y_AXIS, Z_AXIS
 from .simulate import BoxWindow, ModelSpec, simulate_campaign, unit_cube
@@ -93,34 +99,37 @@ class IsotropyTestResult:
     power: float
 
 
-def _integral_bounds(r_grid, r1: float, r2: float):
+def _value_at(r_grid, y, r: float):
+    """``y`` interpolated at ``r`` along its last axis, with `np.interp`'s arithmetic."""
+    k = int(np.searchsorted(r_grid, r, side="right")) - 1
+    if r_grid[k] == r:
+        return y[..., k]
+    slope = (y[..., k + 1] - y[..., k]) / (r_grid[k + 1] - r_grid[k])
+    return slope * (r - r_grid[k]) + y[..., k]
+
+
+def _integrate(r_grid, y, r1: float, r2: float):
+    """Trapezoidal integral over [r1, r2] along the last axis of ``y``.
+
+    ``y`` is sampled on ``r_grid`` and read as its piecewise-linear
+    interpolant, so the rule is exact for it; endpoints that fall between
+    grid knots contribute interpolated partial trapezoids.  Over the whole
+    grid this is `np.trapezoid`, bit for bit.
+    """
     if r1 < r_grid[0] or r2 > r_grid[-1]:
         raise ValueError(
             f"integration range [{r1}, {r2}] exceeds the profile grid "
             f"[{r_grid[0]}, {r_grid[-1]}]"
         )
-
-
-def _abs_diff_integral(r_grid, s1, s2, r1: float, r2: float) -> float:
-    """Trapezoidal integral of |s1 - s2| over [r1, r2].
-
-    The integrand is the piecewise-linear interpolant of the sampled
-    absolute differences, so the rule is exact for it; endpoints that
-    fall between grid knots contribute interpolated partial trapezoids.
-    """
-    r_grid = np.asarray(r_grid, dtype=float)
-    _integral_bounds(r_grid, r1, r2)
-    integrand = np.abs(np.asarray(s1, dtype=float) - np.asarray(s2, dtype=float))
-    inside = (r_grid > r1) & (r_grid < r2)
-    xs = np.concatenate(([r1], r_grid[inside], [r2]))
-    ys = np.concatenate(
-        (
-            [np.interp(r1, r_grid, integrand)],
-            integrand[inside],
-            [np.interp(r2, r_grid, integrand)],
-        )
-    )
-    return float(np.trapezoid(ys, xs))
+    lo = np.searchsorted(r_grid, r1, side="right")
+    hi = np.searchsorted(r_grid, r2, side="left")
+    xs = np.concatenate(([r1], r_grid[lo:hi], [r2]))
+    # C order makes np.trapezoid sum each row exactly as a lone profile
+    ys = np.empty(y.shape[:-1] + xs.shape)
+    ys[..., 0] = _value_at(r_grid, y, r1)
+    ys[..., 1:-1] = y[..., lo:hi]
+    ys[..., -1] = _value_at(r_grid, y, r2)
+    return np.trapezoid(ys, xs, axis=-1)
 
 
 def _common_grid(profiles) -> np.ndarray:
@@ -135,41 +144,21 @@ def t_xy(profiles, cfg: TestConfig) -> float:
     """Reference statistic: integrated |S_x - S_y| of an (x, y, z) profile triple."""
     px, py, _ = profiles
     grid = _common_grid(profiles)
-    return _abs_diff_integral(grid, px.values, py.values, cfg.r1, cfg.r2)
+    return float(_integrate(grid, np.abs(px.values - py.values), cfg.r1, cfg.r2))
 
 
 def t_z(profiles, cfg: TestConfig) -> float:
     """Evidence statistic: smaller of integrated |S_x - S_z| and |S_y - S_z|."""
     px, py, pz = profiles
     grid = _common_grid(profiles)
-    return min(
-        _abs_diff_integral(grid, px.values, pz.values, cfg.r1, cfg.r2),
-        _abs_diff_integral(grid, py.values, pz.values, cfg.r1, cfg.r2),
-    )
+    diffs = np.abs([px.values - pz.values, py.values - pz.values])
+    return float(np.min(_integrate(grid, diffs, cfg.r1, cfg.r2)))
 
 
 def _nearest_rank_quantile(values: np.ndarray, q: float) -> float:
     srt = np.sort(values)
     rank = min(max(math.ceil(q * len(srt)), 1), len(srt))
     return float(srt[rank - 1])
-
-
-def _axis_values(pattern, kind, r_grid, a):
-    """Profile values along x, y, z reusing one pair extraction."""
-    rho2 = intensity_sq_hat(pattern)
-    pairs = pattern_pairs(pattern, profile_extent(r_grid[-1], a))
-    return [pair_numerators(pairs, u, kind, r_grid, a) / rho2 for u in _AXES]
-
-
-def _replicate_statistics(pattern, kind, r_grid, a, r1, r2):
-    sx, sy, sz = _axis_values(pattern, kind, r_grid, a)
-    return (
-        _abs_diff_integral(r_grid, sx, sy, r1, r2),
-        min(
-            _abs_diff_integral(r_grid, sx, sz, r1, r2),
-            _abs_diff_integral(r_grid, sy, sz, r1, r2),
-        ),
-    )
 
 
 def _decide(txy: np.ndarray, tz: np.ndarray, alpha: float, include_self: bool):
@@ -185,6 +174,60 @@ def _decide(txy: np.ndarray, tz: np.ndarray, alpha: float, include_self: bool):
     return threshold, rejections
 
 
+def _replicate_differences(pattern, kinds, r_grid, a) -> np.ndarray:
+    """|S_x - S_y|, |S_x - S_z|, |S_y - S_z| of each kind, shape (kind, 3, radius).
+
+    The x, y and z profiles of every kind come from one pair extraction.
+    """
+    rho2 = intensity_sq_hat(pattern)
+    pairs = pattern_pairs(pattern, profile_extent(r_grid[-1], a))
+    out = np.empty((len(kinds), 3, r_grid.size))
+    for k, kind in enumerate(kinds):
+        sx, sy, sz = (pair_numerators(pairs, u, kind, r_grid, a) / rho2 for u in _AXES)
+        out[k] = np.abs([sx - sy, sx - sz, sy - sz])
+    return out
+
+
+def _sweep(patterns, cfg: TestConfig, r2_grid, kinds, include_self: bool, threads: int):
+    """One ``(r2, {kind: IsotropyTestResult})`` pair per bound of ``r2_grid``.
+
+    ``cfg`` supplies ``a``, ``r1``, ``alpha_level`` and ``grid_points``.
+    """
+    patterns = list(patterns)
+    if len(patterns) < 2:
+        raise ValueError(f"the test needs at least 2 replicates, got {len(patterns)}")
+    require_common_window(patterns, "replicates")
+    sparse = [i for i, p in enumerate(patterns) if p.n < 2]
+    if sparse:
+        raise ValueError(
+            f"replicates {sparse} have fewer than 2 points; every replicate "
+            "needs at least 2 to estimate its intensity"
+        )
+    r2_grid = np.asarray(r2_grid, dtype=float)
+    if r2_grid.size == 0 or np.any(np.diff(r2_grid) <= 0.0):
+        raise ValueError("r2_grid must be nonempty and strictly ascending")
+    if not r2_grid[0] > cfg.r1:
+        raise ValueError("every r2 must exceed r1")
+    r_grid = np.linspace(0.0, float(r2_grid[-1]), cfg.grid_points)
+
+    diffs = np.array(parallel_map(
+        partial(_replicate_differences, kinds=kinds, r_grid=r_grid, a=cfg.a),
+        patterns,
+        threads,
+    ))
+    out = []
+    for r2 in r2_grid:
+        results = {}
+        for k, kind in enumerate(kinds):
+            t = _integrate(r_grid, diffs[:, k], cfg.r1, float(r2))  # (replicate, 3)
+            txy, tz = t[:, 0], np.minimum(t[:, 1], t[:, 2])
+            threshold, rejections = _decide(txy, tz, cfg.alpha_level, include_self)
+            results[kind] = IsotropyTestResult(txy, tz, threshold, rejections,
+                                               float(rejections.mean()))
+        out.append((float(r2), results))
+    return out
+
+
 def run_test(patterns, cfg: TestConfig, include_self: bool = True,
              threads: int = 1) -> IsotropyTestResult:
     """Run the isotropy test on replicated patterns.
@@ -194,65 +237,17 @@ def run_test(patterns, cfg: TestConfig, include_self: bool = True,
     ``i`` when its T_z strictly exceeds the empirical (1 - alpha)
     quantile (nearest rank) of the T_xy sample, so ties never reject.
     ``include_self=False`` drops replicate ``i`` from its own reference
-    sample, which shifts the power only by O(1/m).
+    sample, which shifts the power only by O(1/m).  This is the power
+    sweep at the single bound ``cfg.r2`` for the single kind ``cfg.kind``,
+    and it rejects the same degenerate input.
 
     The rule is conservative: since T_z is the smaller of two statistics
     that are each calibrated against the T_xy quantile, the null rejection
     rate is at most ``alpha_level`` and usually well below it (about 0.01
     at ``alpha_level=0.05`` for 500 Poisson replicates in the unit cube).
     """
-    patterns = list(patterns)
-    if len(patterns) < 2:
-        raise ValueError(f"the test needs at least 2 replicates, got {len(patterns)}")
-    r_grid = np.linspace(0.0, cfg.r2, cfg.grid_points)
-    stats = parallel_map(
-        partial(_stats_args, kind=cfg.kind, r_grid=r_grid, a=cfg.a,
-                r1=cfg.r1, r2=cfg.r2),
-        patterns,
-        threads,
-    )
-    txy = np.array([s[0] for s in stats])
-    tz = np.array([s[1] for s in stats])
-    threshold, rejections = _decide(txy, tz, cfg.alpha_level, include_self)
-    return IsotropyTestResult(txy, tz, threshold, rejections, float(rejections.mean()))
-
-
-def _stats_args(pattern, kind, r_grid, a, r1, r2):
-    return _replicate_statistics(pattern, kind, r_grid, a, r1, r2)
-
-
-def _cumulative_trapezoid(grid, y):
-    steps = 0.5 * (y[..., 1:] + y[..., :-1]) * np.diff(grid)
-    out = np.zeros(y.shape)
-    np.cumsum(steps, axis=-1, out=out[..., 1:])
-    return out
-
-
-def _eval_cumulative(grid, y, cum, r: float) -> np.ndarray:
-    """Integral from grid[0] to r of the piecewise-linear integrand y."""
-    if r <= grid[0]:
-        return cum[..., 0].copy()
-    k = int(np.searchsorted(grid, r, side="right")) - 1
-    if k >= len(grid) - 1:
-        return cum[..., -1].copy()
-    frac = (r - grid[k]) / (grid[k + 1] - grid[k])
-    y_r = y[..., k] + (y[..., k + 1] - y[..., k]) * frac
-    return cum[..., k] + 0.5 * (y[..., k] + y_r) * (r - grid[k])
-
-
-def _replicate_integrands(pattern, kinds, r_grid, a):
-    out = {}
-    rho2 = intensity_sq_hat(pattern)
-    pairs = pattern_pairs(pattern, profile_extent(r_grid[-1], a))
-    for kind in kinds:
-        sx, sy, sz = (pair_numerators(pairs, u, kind, r_grid, a) / rho2
-                      for u in _AXES)
-        out[kind] = np.stack([np.abs(sx - sy), np.abs(sx - sz), np.abs(sy - sz)])
-    return out
-
-
-def _integrands_args(pattern, kinds, r_grid, a):
-    return _replicate_integrands(pattern, kinds, r_grid, a)
+    [(_, results)] = _sweep(patterns, cfg, [cfg.r2], (cfg.kind,), include_self, threads)
+    return results[cfg.kind]
 
 
 def power_curve_from_patterns(
@@ -266,44 +261,18 @@ def power_curve_from_patterns(
     """Powers over integration bounds ``r2_grid`` for replicated patterns.
 
     Profiles are estimated once per replicate on a shared grid reaching
-    ``max(r2_grid)``; every bound is then evaluated from cumulative
-    integrals, so neighbouring bounds share all randomness.  Returns one
+    ``max(r2_grid)``, and their absolute differences are integrated up to
+    each bound with the rule of `run_test`, so neighbouring bounds share
+    all randomness.  ``cfg_base`` supplies ``a``, ``r1``, ``alpha_level``
+    and ``grid_points``.  Returns one
     ``(r2, power_conical, power_cylindrical)`` row per bound (a power is
     NaN when its kind was not requested).
     """
-    patterns = list(patterns)
-    if len(patterns) < 2:
-        raise ValueError(f"the test needs at least 2 replicates, got {len(patterns)}")
-    r2_grid = np.asarray(r2_grid, dtype=float)
-    if r2_grid.size == 0 or np.any(np.diff(r2_grid) <= 0.0):
-        raise ValueError("r2_grid must be nonempty and strictly ascending")
-    if not r2_grid[0] > cfg_base.r1:
-        raise ValueError("every r2 must exceed r1")
-    r_grid = np.linspace(0.0, float(r2_grid[-1]), cfg_base.grid_points)
-
-    per_rep = parallel_map(
-        partial(_integrands_args, kinds=tuple(kinds), r_grid=r_grid, a=cfg_base.a),
-        patterns,
-        threads,
-    )
-    rows = []
-    ys = {kind: np.stack([rep[kind] for rep in per_rep]) for kind in kinds}
-    cums = {kind: _cumulative_trapezoid(r_grid, ys[kind]) for kind in kinds}
-    for r2 in r2_grid:
-        powers = {}
-        for kind in kinds:
-            y, cum = ys[kind], cums[kind]
-            upper = _eval_cumulative(r_grid, y, cum, float(r2))
-            lower = _eval_cumulative(r_grid, y, cum, cfg_base.r1)
-            t = upper - lower  # rows: |xy|, |xz|, |yz| per replicate
-            txy = t[:, 0]
-            tz = np.minimum(t[:, 1], t[:, 2])
-            _, rejections = _decide(txy, tz, cfg_base.alpha_level, include_self)
-            powers[kind] = float(rejections.mean())
-        rows.append(
-            (float(r2), powers.get("conical", math.nan), powers.get("cylindrical", math.nan))
-        )
-    return rows
+    return [
+        (r2, *(results[kind].power if kind in results else math.nan for kind in KINDS))
+        for r2, results in _sweep(patterns, cfg_base, r2_grid, tuple(kinds),
+                                  include_self, threads)
+    ]
 
 
 def power_curve(

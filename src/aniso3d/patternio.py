@@ -6,6 +6,7 @@ following line holds one ``x y z`` point.  Floats are written with
 round-trip precision, so write-then-read reproduces coordinates exactly.
 """
 
+import math
 import os
 
 import numpy as np
@@ -52,14 +53,19 @@ def read_pattern(path) -> PointPattern:
                     vals = [float(v) for v in fields[1:]]
                 except ValueError:
                     raise ValueError(f"{path}:{lineno}: malformed window bounds {line!r}")
+                if not all(map(math.isfinite, vals)):
+                    raise ValueError(f"{path}:{lineno}: non-finite window bounds {line!r}")
                 window = BoxWindow(np.array(vals[0::2]), np.array(vals[1::2]))
                 continue
             if len(fields) != 3:
                 raise ValueError(f"{path}:{lineno}: expected 'x y z', got {line!r}")
             try:
-                points.append([float(v) for v in fields])
+                point = [float(v) for v in fields]
             except ValueError:
                 raise ValueError(f"{path}:{lineno}: malformed coordinates {line!r}")
+            if not all(map(math.isfinite, point)):
+                raise ValueError(f"{path}:{lineno}: non-finite coordinates {line!r}")
+            points.append(point)
     if window is None:
         raise ValueError(f"{path}: missing window line")
     return PointPattern(np.array(points) if points else np.empty((0, 3)), window)

@@ -89,6 +89,8 @@ class PointPattern:
             pts = pts.reshape(0, 3)
         if pts.ndim != 2 or pts.shape[1] != 3:
             raise ValueError(f"points must be an (n, 3) array, got shape {pts.shape}")
+        if not np.all(np.isfinite(pts)):
+            raise ValueError("point coordinates must be finite (no nan or inf)")
         if pts.shape[0] and not np.all(self.window.contains(pts)):
             raise ValueError("all points must lie inside the closed window")
         if pts.shape[0] and np.unique(pts, axis=0).shape[0] != pts.shape[0]:

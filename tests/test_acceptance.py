@@ -284,6 +284,8 @@ def test_criterion_7_compression_power_ordering(packing_500):
     # an onset ordering on a 0.001 grid over [0.02, 0.05]; the largest
     # bound stays 0.14, so the profile grid and every power at the 0.005
     # bounds are unchanged, and clauses 2 and 3 read only those bounds.
+    # The conical maximum is a plateau, so clause 3 places the plateau's
+    # start (the smallest maximising bound) in the band.
     patterns = [compress(p, 0.7) for p in packing_500]
     r2_coarse = np.round(np.arange(0.02, 0.1401, 0.005), 4)
     r2_fine = np.round(np.arange(0.02, 0.0501, 0.001), 4)
@@ -302,7 +304,6 @@ def test_criterion_7_compression_power_ordering(packing_500):
     onset_cn, onset_cl = onset(p_cn), onset(p_cl)
     coarse = np.isin(r2_grid, r2_coarse)
     c_cn, c_cl = p_cn[coarse], p_cl[coarse]
-    argmax_r2 = float(r2_coarse[int(np.argmax(c_cn))])
     maximisers = r2_coarse[c_cn == c_cn.max()]
     report(
         7,
@@ -317,8 +318,8 @@ def test_criterion_7_compression_power_ordering(packing_500):
                 f"cylindrical {c_cl[-1]:.3f} > conical {c_cn[-1]:.3f} at r2={r2_coarse[-1]}",
             ),
             (
-                0.035 <= argmax_r2 <= 0.065,
-                f"conical argmax r2 {argmax_r2} (in [0.035, 0.065]; maximum "
+                0.035 <= maximisers[0] <= 0.065,
+                f"conical plateau start r2 {maximisers[0]} (in [0.035, 0.065]; maximum "
                 f"{c_cn.max():.3f} at {maximisers.size} of {r2_coarse.size} bounds "
                 f"in [{maximisers[0]}, {maximisers[-1]}])",
             ),

@@ -39,6 +39,16 @@ class TestPatternFiles:
         with pytest.raises(ValueError, match="bad.txt:3"):
             read_pattern(path)
 
+    def test_non_finite_values_report_line(self, tmp_path):
+        path = tmp_path / "bad.txt"
+        for token in ("nan", "inf", "-inf"):
+            path.write_text(f"window 0 1 0 1 0 1\n0.1 0.2 0.3\n0.4 {token} 0.5\n")
+            with pytest.raises(ValueError, match="bad.txt:3: non-finite coordinates"):
+                read_pattern(path)
+        path.write_text("window 0 inf 0 1 0 1\n")
+        with pytest.raises(ValueError, match="bad.txt:1: non-finite window"):
+            read_pattern(path)
+
     def test_read_directory_sorted(self, tmp_path):
         for i in (1, 0):
             write_pattern(

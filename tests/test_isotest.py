@@ -15,7 +15,13 @@ from aniso3d.isotest import (
     t_xy,
     t_z,
 )
-from aniso3d.simulate import ModelSpec, simulate_campaign, unit_cube
+from aniso3d.simulate import (
+    BoxWindow,
+    ModelSpec,
+    PointPattern,
+    simulate_campaign,
+    unit_cube,
+)
 
 GRID = np.linspace(0.0, 0.1, 21)
 
@@ -146,6 +152,24 @@ class TestRunTest:
         b = run_test(pats, cfg(r2=0.06), include_self=False)
         assert abs(a.power - b.power) <= 0.1
 
+    def test_rejects_mixed_window_shapes(self):
+        pats = simulate_campaign(ModelSpec.poisson(300.0), unit_cube(), 4, seed=12)
+        big = BoxWindow(np.zeros(3), np.full(3, 2.0))
+        pats.append(PointPattern(2.0 * pats[0].points, big))
+        with pytest.raises(ValueError, match="window shape"):
+            run_test(pats, cfg(r2=0.06))
+        with pytest.raises(ValueError, match="window shape"):
+            power_curve_from_patterns(pats, cfg(), [0.06])
+
+    def test_rejects_underfilled_replicates_by_index(self):
+        pats = simulate_campaign(ModelSpec.poisson(300.0), unit_cube(), 5, seed=13)
+        pats[1] = PointPattern(np.empty((0, 3)), unit_cube())
+        pats[3] = PointPattern(np.full((1, 3), 0.5), unit_cube())
+        with pytest.raises(ValueError, match=r"replicates \[1, 3\] have fewer than 2"):
+            run_test(pats, cfg(r2=0.06))
+        with pytest.raises(ValueError, match=r"replicates \[1, 3\] have fewer than 2"):
+            power_curve_from_patterns(pats, cfg(), [0.06])
+
     def test_columnar_alternative_rejects(self):
         model = ModelSpec.plcpp(500.0, 200.0, 0.001)
         pats = simulate_campaign(model, unit_cube(), 30, seed=6)
@@ -156,10 +180,27 @@ class TestRunTest:
 class TestPowerCurve:
     def test_matches_run_test_at_single_bound(self):
         pats = simulate_campaign(ModelSpec.poisson(400.0), unit_cube(), 25, seed=7)
-        c = cfg(r2=0.06)
-        res = run_test(pats, c)
-        rows = power_curve_from_patterns(pats, c, [0.06], kinds=("cylindrical",))
-        assert rows[0][2] == pytest.approx(res.power)
+        rows = power_curve_from_patterns(pats, cfg(r2=0.06), [0.06])
+        for column, kind in ((1, "conical"), (2, "cylindrical")):
+            res = run_test(pats, TestConfig(kind=kind, a=2.0, r2=0.06))
+            assert rows[0][column] == res.power
+
+    def test_pinned_power_table(self):
+        # fixed-seed powers: a change to the profiles, the integration rule
+        # or the decision shows up here
+        pats = simulate_campaign(ModelSpec.plcpp(300.0, 100.0, 0.02), unit_cube(), 20, seed=21)
+        bounds = [0.01, 0.02, 0.04, 0.07, 0.1]
+        rows = power_curve_from_patterns(pats, cfg(r2=0.1), bounds)
+        assert rows == [
+            (0.01, 0.1, 0.15), (0.02, 0.3, 0.2), (0.04, 0.65, 0.25),
+            (0.07, 1.0, 0.9), (0.1, 1.0, 0.9),
+        ]
+        rows = power_curve_from_patterns(pats, cfg(r2=0.1, r1=0.005), bounds,
+                                         include_self=False)
+        assert rows == [
+            (0.01, 0.1, 0.15), (0.02, 0.2, 0.1), (0.04, 0.45, 0.25),
+            (0.07, 1.0, 0.9), (0.1, 1.0, 0.9),
+        ]
 
     def test_deterministic_campaign(self):
         model = ModelSpec.plcpp(500.0, 200.0, 0.01)

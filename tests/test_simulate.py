@@ -63,6 +63,11 @@ class TestWindowAndPattern:
         with pytest.raises(ValueError, match="inside"):
             PointPattern(np.array([[0.5, 0.5, 1.5]]), unit_cube())
 
+    def test_pattern_rejects_non_finite_points(self):
+        for value in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="finite"):
+                PointPattern(np.array([[0.5, value, 0.5]]), unit_cube())
+
     def test_pattern_rejects_duplicates(self):
         with pytest.raises(ValueError, match="simple"):
             PointPattern(np.array([[0.5] * 3, [0.5] * 3]), unit_cube())
