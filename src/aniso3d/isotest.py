@@ -108,28 +108,39 @@ def _value_at(r_grid, y, r: float):
     return slope * (r - r_grid[k]) + y[..., k]
 
 
-def _integrate(r_grid, y, r1: float, r2: float):
-    """Trapezoidal integral over [r1, r2] along the last axis of ``y``.
+def _integrator(r_grid, y):
+    """Trapezoidal integral over [r1, r2] along the last axis of ``y``,
+    as a function ``integrate(r1, r2)``.
 
     ``y`` is sampled on ``r_grid`` and read as its piecewise-linear
     interpolant, so the rule is exact for it; endpoints that fall between
-    grid knots contribute interpolated partial trapezoids.  Over the whole
-    grid this is `np.trapezoid`, bit for bit.
+    grid knots contribute interpolated partial trapezoids.  The trapezoids
+    between knots are formed once and reused at every bound.  Over the
+    whole grid this is `np.trapezoid`, bit for bit.
     """
-    if r1 < r_grid[0] or r2 > r_grid[-1]:
-        raise ValueError(
-            f"integration range [{r1}, {r2}] exceeds the profile grid "
-            f"[{r_grid[0]}, {r_grid[-1]}]"
-        )
-    lo = np.searchsorted(r_grid, r1, side="right")
-    hi = np.searchsorted(r_grid, r2, side="left")
-    xs = np.concatenate(([r1], r_grid[lo:hi], [r2]))
-    # C order makes np.trapezoid sum each row exactly as a lone profile
-    ys = np.empty(y.shape[:-1] + xs.shape)
-    ys[..., 0] = _value_at(r_grid, y, r1)
-    ys[..., 1:-1] = y[..., lo:hi]
-    ys[..., -1] = _value_at(r_grid, y, r2)
-    return np.trapezoid(ys, xs, axis=-1)
+    inner = np.diff(r_grid) * (y[..., 1:] + y[..., :-1]) / 2.0
+
+    def integrate(r1: float, r2: float):
+        if r1 < r_grid[0] or r2 > r_grid[-1]:
+            raise ValueError(
+                f"integration range [{r1}, {r2}] exceeds the profile grid "
+                f"[{r_grid[0]}, {r_grid[-1]}]"
+            )
+        lo = int(np.searchsorted(r_grid, r1, side="right"))
+        hi = int(np.searchsorted(r_grid, r2, side="left"))
+        v1, v2 = _value_at(r_grid, y, r1), _value_at(r_grid, y, r2)
+        # the terms np.trapezoid forms from the knots r1, r_grid[lo:hi], r2,
+        # in C order so that each row sums as a lone profile does
+        terms = np.empty(y.shape[:-1] + (hi - lo + 1,))
+        if hi == lo:
+            terms[..., 0] = (r2 - r1) * (v2 + v1) / 2.0
+        else:
+            terms[..., 0] = (r_grid[lo] - r1) * (y[..., lo] + v1) / 2.0
+            terms[..., 1:-1] = inner[..., lo:hi - 1]
+            terms[..., -1] = (r2 - r_grid[hi - 1]) * (v2 + y[..., hi - 1]) / 2.0
+        return terms.sum(axis=-1)
+
+    return integrate
 
 
 def _common_grid(profiles) -> np.ndarray:
@@ -144,7 +155,7 @@ def t_xy(profiles, cfg: TestConfig) -> float:
     """Reference statistic: integrated |S_x - S_y| of an (x, y, z) profile triple."""
     px, py, _ = profiles
     grid = _common_grid(profiles)
-    return float(_integrate(grid, np.abs(px.values - py.values), cfg.r1, cfg.r2))
+    return float(_integrator(grid, np.abs(px.values - py.values))(cfg.r1, cfg.r2))
 
 
 def t_z(profiles, cfg: TestConfig) -> float:
@@ -152,7 +163,7 @@ def t_z(profiles, cfg: TestConfig) -> float:
     px, py, pz = profiles
     grid = _common_grid(profiles)
     diffs = np.abs([px.values - pz.values, py.values - pz.values])
-    return float(np.min(_integrate(grid, diffs, cfg.r1, cfg.r2)))
+    return float(np.min(_integrator(grid, diffs)(cfg.r1, cfg.r2)))
 
 
 def _nearest_rank_quantile(values: np.ndarray, q: float) -> float:
@@ -215,11 +226,12 @@ def _sweep(patterns, cfg: TestConfig, r2_grid, kinds, include_self: bool, thread
         patterns,
         threads,
     ))
+    integrators = [_integrator(r_grid, diffs[:, k]) for k in range(len(kinds))]
     out = []
     for r2 in r2_grid:
         results = {}
-        for k, kind in enumerate(kinds):
-            t = _integrate(r_grid, diffs[:, k], cfg.r1, float(r2))  # (replicate, 3)
+        for kind, integrate in zip(kinds, integrators):
+            t = integrate(cfg.r1, float(r2))  # (replicate, 3)
             txy, tz = t[:, 0], np.minimum(t[:, 1], t[:, 2])
             threshold, rejections = _decide(txy, tz, cfg.alpha_level, include_self)
             results[kind] = IsotropyTestResult(txy, tz, threshold, rejections,

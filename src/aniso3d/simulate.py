@@ -303,6 +303,12 @@ def simulate_packing(
     proportionally to the overlap depth while the ball diameter grows to
     its final value.  Succeeds when no periodic pair of centers is closer
     than ``2 r``.
+
+    Overlapping pairs are found in a neighbour list of the pairs within
+    the current diameter plus a skin of ``0.6 r``, rebuilt only when the
+    centers have moved far enough that a pair outside it could overlap.
+    Every sweep therefore pushes exactly the pairs, in the canonical
+    ``(i, j)`` order, that a fresh periodic query would return.
     """
     if spec.kind != "packing":
         raise ValueError(f"expected a packing spec, got kind={spec.kind!r}")
@@ -317,30 +323,37 @@ def simulate_packing(
         # stall a rounding error short of the hard-core distance
         goal = target * (1.0 + 1e-6)
         floor = 1e-3 * (goal - target)
+        skin = 0.3 * target
         d_cur = 0.8 * goal
+        built, reach = pos, 0.0  # no neighbour list yet: the first sweep builds one
         for _ in range(max_sweeps):
-            pairs = cKDTree(pos, boxsize=sides).query_pairs(d_cur, output_type="ndarray")
-            if len(pairs):
-                i, j = pairs[:, 0], pairs[:, 1]
-                delta = pos[j] - pos[i]
-                delta -= sides * np.round(delta / sides)  # minimum image
-                dist = np.sqrt(np.sum(delta * delta, axis=1))
-                coincident = dist == 0.0
-                if np.any(coincident):
-                    delta[coincident] = (1e-9 * target, 0.0, 0.0)
-                    dist[coincident] = 1e-9 * target
-                hit = dist < d_cur
-            if len(pairs) == 0 or not np.any(hit):
+            _, moved = _separation(built, pos, sides)
+            # a pair now closer than d_cur was closer than d_cur + 2 max|moved|
+            # at the last build, so the list at ``reach`` still holds every hit
+            # unless that bound (with slack far above rounding) reaches it
+            if 2.0 * moved.max() >= (1.0 - 1e-9) * reach - d_cur:
+                built, reach = pos, d_cur + skin
+                near_i, near_j = _periodic_pairs(pos, sides, reach)
+            delta, dist = _separation(pos[near_i], pos[near_j], sides)
+            coincident = dist == 0.0
+            if np.any(coincident):
+                delta[coincident] = (1e-9 * target, 0.0, 0.0)
+                dist[coincident] = 1e-9 * target
+            hit = dist < d_cur
+            if not np.any(hit):
                 if d_cur >= goal:
                     break
                 d_cur = min(goal, 1.25 * d_cur)
                 continue
-            i, j, delta, dist = i[hit], j[hit], delta[hit], dist[hit]
+            i, j, delta, dist = near_i[hit], near_j[hit], delta[hit], dist[hit]
             # overshoot so resolved pairs end up strictly clear
             push = ((0.55 * (d_cur - dist) + floor) / dist)[:, None] * delta
-            shift = np.zeros_like(pos)
-            np.add.at(shift, i, -push)
-            np.add.at(shift, j, push)
+            # one pass over i then j sums each point's pushes in np.add.at order
+            ends = np.concatenate([i, j])
+            weights = np.concatenate([-push, push])
+            shift = np.column_stack(
+                [np.bincount(ends, weights[:, k], n) for k in range(3)]
+            )
             pos = (pos + shift) % sides
             pos[pos >= sides] = 0.0  # % can round up to the boundary
             d_cur = min(goal, 1.05 * d_cur)
@@ -354,13 +367,30 @@ def simulate_packing(
     return PointPattern(window.lo + pos, window)
 
 
-def _min_periodic_distance(pos, sides, probe: float) -> float:
-    pairs = cKDTree(pos, boxsize=sides).query_pairs(probe, output_type="ndarray")
-    if len(pairs) == 0:
-        return math.inf
-    delta = pos[pairs[:, 1]] - pos[pairs[:, 0]]
+def _periodic_pairs(pos, sides, reach: float):
+    """Index arrays ``i < j`` of the pairs within periodic distance ``reach``.
+
+    Pairs come in the canonical order of the key ``i * n + j``: the order
+    of ``query_pairs`` is implementation-defined, and packing push sums
+    depend on it.
+    """
+    pairs = cKDTree(pos, boxsize=sides).query_pairs(reach, output_type="ndarray")
+    pairs = pairs[np.argsort(pairs[:, 0].astype(np.int64) * len(pos) + pairs[:, 1])]
+    return pairs[:, 0], pairs[:, 1]
+
+
+def _separation(a, b, sides):
+    """Minimum-image difference vectors ``b - a`` row by row, and their lengths."""
+    delta = b - a
     delta -= sides * np.round(delta / sides)
-    return float(np.sqrt(np.sum(delta * delta, axis=1)).min())
+    return delta, np.sqrt(np.sum(delta * delta, axis=1))
+
+
+def _min_periodic_distance(pos, sides, probe: float) -> float:
+    i, j = _periodic_pairs(pos, sides, probe)
+    if len(i) == 0:
+        return math.inf
+    return float(_separation(pos[i], pos[j], sides)[1].min())
 
 
 def compress(pattern: PointPattern, c: float) -> PointPattern:
@@ -470,7 +500,11 @@ def simulate_model(model: ModelSpec, window: BoxWindow, seed) -> PointPattern:
 
 def simulate_campaign(model: ModelSpec, window: BoxWindow, m: int, seed: int,
                       threads: int = 1) -> list:
-    """Generate ``m`` replicates keyed (seed, 0) ... (seed, m - 1)."""
+    """Generate ``m`` replicates keyed (seed, 0) ... (seed, m - 1).
+
+    A replicate that fails to generate (a packing that does not converge)
+    raises RuntimeError naming its key ``(seed, i)``.
+    """
     from ._parallel import parallel_map
 
     if m < 1:
@@ -481,4 +515,7 @@ def simulate_campaign(model: ModelSpec, window: BoxWindow, m: int, seed: int,
 
 def _campaign_replicate(args):
     model, window, seed, index = args
-    return simulate_model(model, window, (seed, index))
+    try:
+        return simulate_model(model, window, (seed, index))
+    except RuntimeError as exc:  # a packing that did not converge
+        raise RuntimeError(f"replicate (seed, i) = ({seed}, {index}): {exc}") from exc

@@ -1,11 +1,13 @@
 """Tests for pattern file I/O and the command-line interface."""
 
 import os
+from functools import partial
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 
+from aniso3d import simulate
 from aniso3d.cli import main
 from aniso3d.patternio import read_pattern, read_patterns, write_pattern
 from aniso3d.simulate import BoxWindow, PointPattern, simulate_poisson, unit_cube
@@ -117,6 +119,17 @@ class TestSimulateCommand:
         )
         assert code == 1
         assert "dense" in capsys.readouterr().err
+
+    def test_non_converging_packing_names_replicate(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(simulate, "simulate_packing",
+                            partial(simulate.simulate_packing, max_sweeps=1))
+        code = run_cli(
+            "simulate", "--model", "packing", "--rho", "500", "--hardcore-r",
+            "0.05", "--m", "2", "--seed", "8", "--threads", "1", "--out", tmp_path / "x",
+        )
+        assert code == 1
+        assert ("error: replicate (seed, i) = (8, 0): packing did not converge in 1 sweeps"
+                in capsys.readouterr().err)
 
 
 class TestEstimateCommand:

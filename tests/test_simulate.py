@@ -1,12 +1,16 @@
 """Tests for the point process simulators and the compression map."""
 
 import math
+from functools import partial
 
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy.spatial import cKDTree
 
+from aniso3d import simulate
 from aniso3d.simulate import (
     BoxWindow,
     HardCoreSpec,
@@ -15,6 +19,7 @@ from aniso3d.simulate import (
     PointPattern,
     compress,
     matern_proposal_intensity,
+    replicate_rng,
     simulate_campaign,
     simulate_matern,
     simulate_model,
@@ -36,11 +41,49 @@ def min_distance(points) -> float:
 
 def min_periodic_distance(points, window) -> float:
     rel = points - window.lo
-    tree = cKDTree(rel, boxsize=window.sides)
-    pairs = tree.query_pairs(np.max(window.sides) / 2.0, output_type="ndarray")
-    delta = rel[pairs[:, 1]] - rel[pairs[:, 0]]
-    delta -= window.sides * np.round(delta / window.sides)
-    return float(np.sqrt((delta**2).sum(axis=1)).min())
+    d, _ = cKDTree(rel, boxsize=window.sides).query(rel, k=2)
+    return float(d[:, 1].min())
+
+
+def reference_packing(spec, window, seed, max_sweeps=100_000):
+    """The force-biased packer with a fresh periodic query every sweep.
+
+    Pairs are taken in canonical ``(i, j)`` order and pushes summed with
+    ``np.add.at``; `simulate_packing` must reproduce it bit for bit.
+    """
+    rng = replicate_rng(seed)
+    sides = window.sides
+    n = int(round(spec.rho * window.volume))
+    pos = rng.random((n, 3)) * sides
+    target = 2.0 * spec.r
+    goal = target * (1.0 + 1e-6)
+    floor = 1e-3 * (goal - target)
+    d_cur = 0.8 * goal
+    for _ in range(max_sweeps if n > 1 else 0):
+        pairs = cKDTree(pos, boxsize=sides).query_pairs(d_cur, output_type="ndarray")
+        pairs = pairs[np.lexsort((pairs[:, 1], pairs[:, 0]))]
+        i, j = pairs[:, 0], pairs[:, 1]
+        delta = pos[j] - pos[i]
+        delta -= sides * np.round(delta / sides)
+        dist = np.sqrt(np.sum(delta * delta, axis=1))
+        coincident = dist == 0.0
+        delta[coincident] = (1e-9 * target, 0.0, 0.0)
+        dist[coincident] = 1e-9 * target
+        hit = dist < d_cur
+        if not np.any(hit):
+            if d_cur >= goal:
+                break
+            d_cur = min(goal, 1.25 * d_cur)
+            continue
+        i, j, delta, dist = i[hit], j[hit], delta[hit], dist[hit]
+        push = ((0.55 * (d_cur - dist) + floor) / dist)[:, None] * delta
+        shift = np.zeros_like(pos)
+        np.add.at(shift, i, -push)
+        np.add.at(shift, j, push)
+        pos = (pos + shift) % sides
+        pos[pos >= sides] = 0.0
+        d_cur = min(goal, 1.05 * d_cur)
+    return window.lo + pos
 
 
 def intensity_split(pattern):
@@ -242,6 +285,48 @@ class TestPacking:
         a = simulate_packing(PACKING, unit_cube(), (3, 4))
         b = simulate_packing(PACKING, unit_cube(), (3, 4))
         npt.assert_array_equal(a.points, b.points)
+
+    @pytest.mark.parametrize(
+        "spec, sides, seed",
+        [(PACKING, (1.0, 1.0, 1.0), (50, i)) for i in range(4)]
+        + [
+            (PACKING, (1.0, 0.8, 1.25), 51),
+            # n = 2: the balls start 0.083 apart and must be pushed to 2R = 0.1
+            (HardCoreSpec(rho=2.0 / 0.15**3, r=0.05, kind="packing"), (0.15,) * 3, 52),
+        ],
+    )
+    def test_neighbour_list_matches_fresh_queries(self, spec, sides, seed):
+        window = BoxWindow(np.zeros(3), np.array(sides))
+        expected = reference_packing(spec, window, seed)
+        npt.assert_array_equal(simulate_packing(spec, window, seed).points, expected)
+
+    def test_non_convergence_raises(self):
+        with pytest.raises(RuntimeError, match="did not converge in 1 sweeps"):
+            simulate_packing(PACKING, unit_cube(), 53, max_sweeps=1)
+
+    def test_campaign_names_failing_replicate(self, monkeypatch):
+        monkeypatch.setattr(simulate, "simulate_packing",
+                            partial(simulate_packing, max_sweeps=1))
+        with pytest.raises(RuntimeError,
+                           match=r"replicate \(seed, i\) = \(54, 0\): packing did not"):
+            simulate_campaign(ModelSpec.packing(500.0, 0.05), unit_cube(), 2, 54,
+                              threads=1)
+
+    @settings(max_examples=20, deadline=None, derandomize=True)
+    @given(
+        n=st.integers(2, 60),
+        r=st.floats(0.01, 0.06),
+        sides=st.tuples(*[st.floats(0.4, 1.0)] * 3),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_packing_properties(self, n, r, sides, seed):
+        window = BoxWindow(np.zeros(3), np.array(sides))
+        assume(n * 4.0 * math.pi * r**3 / 3.0 <= 0.3 * window.volume)
+        spec = HardCoreSpec(rho=n / window.volume, r=r, kind="packing")
+        pattern = simulate_packing(spec, window, seed)
+        assert pattern.n == n
+        assert min_periodic_distance(pattern.points, window) >= 2.0 * r
+        npt.assert_array_equal(pattern.points, reference_packing(spec, window, seed))
 
 
 class TestCompress:
