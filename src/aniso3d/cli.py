@@ -94,17 +94,24 @@ def _resolve(args, config, name, required=False):
     return _CONVERT[name](value)
 
 
-def _float_list(text) -> list:
-    """Comma or space separated list, or linspace shorthand 'lo:hi:n'."""
+def _float_list(text, flag) -> list:
+    """Comma or space separated list, or linspace shorthand 'lo:hi:n'.
+
+    An empty list is an error that names ``flag``.
+    """
     text = str(text)
     if ":" in text:
         lo, hi, n = text.split(":")
-        return [float(v) for v in np.linspace(float(lo), float(hi), int(n))]
-    return [float(v) for v in text.replace(",", " ").split()]
+        values = np.linspace(float(lo), float(hi), max(int(n), 0))
+    else:
+        values = text.replace(",", " ").split()
+    if len(values) == 0:
+        raise ValueError(f"{flag} needs at least one value, got {text!r}")
+    return [float(v) for v in values]
 
 
 def _parse_window(text) -> BoxWindow:
-    vals = _float_list(text)
+    vals = _float_list(text, "--window")
     if len(vals) != 6:
         raise ValueError(f"window needs 6 numbers x0,x1,y0,y1,z0,z1, got {text!r}")
     return BoxWindow(np.array(vals[0::2]), np.array(vals[1::2]))
@@ -190,6 +197,8 @@ def cmd_estimate(args, config) -> None:
     a = float(_resolve(args, config, "aspect"))
     kinds = _kinds(_resolve(args, config, "kind"))
     n_grid = _resolve(args, config, "grid")
+    if n_grid < 2:
+        raise ValueError(f"--grid needs at least 2 grid radii, got {n_grid}")
     threads = _resolve(args, config, "threads")
     directions = [d.strip() for d in _resolve(args, config, "directions").split(",")]
     if not directions or any(d not in _AXES for d in directions):
@@ -200,6 +209,8 @@ def cmd_estimate(args, config) -> None:
     r_max = _resolve(args, config, "r_max")
     if r_max is None:
         r_max = 0.45 * validity_bound(window, a)
+    if not r_max > 0.0:
+        raise ValueError(f"--r-max must be positive, got {r_max!r}")
     _check_r_max(window, a, r_max, "--r-max")
     grid = np.linspace(0.0, r_max, n_grid)
 
@@ -229,17 +240,16 @@ def cmd_estimate(args, config) -> None:
 
 
 def _power_rows(patterns, a_list, r2_list, kinds, level, n_grid, threads, m, seed):
-    rows = []
+    window = patterns[0].window
     for a in a_list:
-        window = patterns[0].window
         _check_r_max(window, a, max(r2_list), "--r2-grid entry")
-        cfg = TestConfig(kind=kinds[0], a=a, r2=max(r2_list), alpha_level=level,
-                         grid_points=n_grid)
-        curve = power_curve_from_patterns(patterns, cfg, r2_list, kinds=kinds,
-                                          threads=threads)
-        for r2, p_cn, p_cl in curve:
-            rows.append([float(a), r2, p_cn, p_cl, m, seed])
-    return rows
+    cfg = TestConfig(kind=kinds[0], a=a_list[0], r2=max(r2_list), alpha_level=level,
+                     grid_points=n_grid)
+    curve = power_curve_from_patterns(patterns, cfg, r2_list, kinds=kinds,
+                                      threads=threads, aspects=a_list)
+    row_aspects = [a for a in a_list for _ in r2_list]
+    return [[float(a), r2, p_cn, p_cl, m, seed]
+            for a, (r2, p_cn, p_cl) in zip(row_aspects, curve)]
 
 
 def cmd_test(args, config) -> None:
@@ -257,11 +267,8 @@ def _run_power_like(args, config, name) -> None:
     threads = _resolve(args, config, "threads")
     seed = _resolve(args, config, "seed")
     kinds = _kinds(_resolve(args, config, "kind"))
-    a_list = _float_list(_resolve(args, config, "aspect"))
-    r2_text = _resolve(args, config, "r2_grid")
-    if r2_text is None:
-        raise ValueError("missing required option --r2-grid")
-    r2_list = _float_list(r2_text)
+    a_list = _float_list(_resolve(args, config, "aspect"), "--aspect")
+    r2_list = _float_list(_resolve(args, config, "r2_grid", required=True), "--r2-grid")
 
     source = _resolve(args, config, "input")
     if source is not None:

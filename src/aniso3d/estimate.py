@@ -187,34 +187,64 @@ def profile_extent(r_max: float, a: float) -> float:
     return cone.r_cn * (1.0 + 1e-9)
 
 
-def pair_numerators(pairs: PatternPairs, u, kind: str, r_grid, a: float) -> np.ndarray:
+def _axis_parts(vec: np.ndarray, sq: np.ndarray, k: int):
+    """`_axial_radial` along the coordinate axis ``e_k``, bit for bit.
+
+    The product with ``e_k`` only adds exact zeros, so the axial part is
+    ``|vec[:, k]|`` and the radial norm sums the squares ``sq = vec * vec``
+    of the other two components in index order.
+    """
+    i, j = (c for c in range(3) if c != k)
+    return np.abs(vec[:, k]), np.sqrt(sq[:, i] + sq[:, j])
+
+
+def pair_numerators(pairs: PatternPairs, directions, kinds, r_grid, aspects) -> np.ndarray:
     """Cumulative edge-weighted ordered-pair counts along the grid.
 
-    For each pair the smallest grid index whose element contains it is
+    Returns an array of shape (aspect, kind, direction, radius).  For each
+    pair and element the smallest grid index whose element contains it is
     found from its critical radius; accumulating ``2 * weight`` there and
     taking the running sum yields, at every grid point, exactly the
-    direct double-sum numerator of the estimator.
+    direct double-sum numerator of the estimator.  The axial and radial
+    parts of the pairs are formed once per direction and shared by every
+    kind and aspect; ``pairs`` must reach `profile_extent` of the largest
+    aspect, and a smaller aspect's elements simply leave the farther
+    pairs out.
     """
-    u = as_direction(u)
+    directions = [as_direction(u) for u in directions]
+    for kind in kinds:
+        if kind not in KINDS:
+            raise ValueError(f"kind must be one of {KINDS}, got {kind!r}")
     r_grid = _check_grid(r_grid)
+    out = np.empty((len(aspects), len(kinds), len(directions), r_grid.size))
     if r_grid.size == 0:
-        return np.empty(0)
-    scale = math.sqrt(a * a + 1.0)
-    axial_abs, radial = _axial_radial(pairs, u)
-    if kind == "conical":
+        return out
+    sq = pairs.vec * pairs.vec
+    parts = []
+    for u in directions:
+        axis = np.flatnonzero(u)
+        if axis.size == 1 and u[axis[0]] == 1.0:
+            parts.append(_axis_parts(pairs.vec, sq, int(axis[0])))
+        else:
+            parts.append(_axial_radial(pairs, u))
+    weight = 2.0 * pairs.weight
+    for i, a in enumerate(aspects):
+        scale = math.sqrt(a * a + 1.0)
         cos_theta = ConeParams(1.0, math.atan2(1.0, a)).cos_theta
-        keep = _cone_mask(pairs.norm, axial_abs, r_grid[-1] * scale, cos_theta)
-        idx = np.searchsorted(r_grid * scale, pairs.norm[keep], side="left")
-    elif kind == "cylindrical":
-        keep = _cylinder_mask(axial_abs, radial, r_grid[-1], a * r_grid[-1])
-        idx = np.maximum(
-            np.searchsorted(a * r_grid, axial_abs[keep], side="left"),
-            np.searchsorted(r_grid, radial[keep], side="left"),
-        )
-    else:
-        raise ValueError(f"kind must be one of {KINDS}, got {kind!r}")
-    acc = np.bincount(idx, weights=2.0 * pairs.weight[keep], minlength=r_grid.size)
-    return np.cumsum(acc)
+        for j, kind in enumerate(kinds):
+            for d, (axial_abs, radial) in enumerate(parts):
+                if kind == "conical":
+                    keep = _cone_mask(pairs.norm, axial_abs, r_grid[-1] * scale, cos_theta)
+                    idx = np.searchsorted(r_grid * scale, pairs.norm[keep], side="left")
+                else:
+                    keep = _cylinder_mask(axial_abs, radial, r_grid[-1], a * r_grid[-1])
+                    idx = np.maximum(
+                        np.searchsorted(a * r_grid, axial_abs[keep], side="left"),
+                        np.searchsorted(r_grid, radial[keep], side="left"),
+                    )
+                acc = np.bincount(idx, weights=weight[keep], minlength=r_grid.size)
+                out[i, j, d] = np.cumsum(acc)
+    return out
 
 
 def k_profile(pattern: PointPattern, u, kind: str, r_grid, a: float) -> KProfile:
@@ -235,7 +265,7 @@ def k_profile(pattern: PointPattern, u, kind: str, r_grid, a: float) -> KProfile
     if r_grid.size == 0:
         return KProfile(kind, u, r_grid, np.empty(0), a)
     pairs = pattern_pairs(pattern, profile_extent(r_grid[-1], a))
-    values = pair_numerators(pairs, u, kind, r_grid, a) / rho2
+    values = pair_numerators(pairs, [u], [kind], r_grid, [a])[0, 0, 0] / rho2
     return KProfile(kind, u, r_grid, values, a)
 
 
@@ -276,7 +306,7 @@ def pooled_profile(
     ratios = np.zeros(r_grid.size)
     for p in patterns:
         pairs = pattern_pairs(p, extent)
-        num = pair_numerators(pairs, u, kind, r_grid, a)
+        num = pair_numerators(pairs, [u], [kind], r_grid, [a])[0, 0, 0]
         if method == "ratio-of-sums":
             numer += num
             denom += p.n * (p.n - 1) / p.window.volume ** 2

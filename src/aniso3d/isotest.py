@@ -9,13 +9,17 @@ directional K-curves through two integrated absolute differences::
 
 Isotropy is rejected for a replicate when its T_z exceeds the empirical
 (1 - alpha) quantile of the T_xy sample; the power of the test is the
-rejected fraction.  Power curves sweep the integration bound r2 on one
-simulated campaign.  Every statistic takes one path: each replicate's x,
-y and z profiles come from one pair extraction on an even grid over
+rejected fraction.  Power curves sweep the integration bound r2, and
+optionally the aspect ratio a, on one simulated campaign.  Every
+statistic takes one path, one pool job per replicate: its x, y and z
+profiles of every kind and aspect come from one pair extraction (at the
+largest aspect's extent) and one kernel call on an even grid over
 [0, max r2], their absolute differences are formed once, and one
-trapezoidal rule integrates them up to each bound.  `run_test` is the
-sweep at a single bound.  Replicates must share one window shape and hold
-at least 2 points each; otherwise the sweep raises ValueError up front.
+trapezoidal rule integrates them up to each bound inside the worker, so
+only the statistics return to the main process, which takes the
+decisions.  `run_test` is the sweep at a single bound and aspect.
+Replicates must share one window shape and hold at least 2 points each;
+otherwise the sweep raises ValueError up front.
 
 The size of the test is at most alpha and usually well below it.  Under
 isotropy in a cube T_xy, T_xz and T_yz are exchangeable, so each single
@@ -185,24 +189,27 @@ def _decide(txy: np.ndarray, tz: np.ndarray, alpha: float, include_self: bool):
     return threshold, rejections
 
 
-def _replicate_differences(pattern, kinds, r_grid, a) -> np.ndarray:
-    """|S_x - S_y|, |S_x - S_z|, |S_y - S_z| of each kind, shape (kind, 3, radius).
+def _replicate_statistics(pattern, kinds, aspects, r_grid, r1, r2_grid) -> np.ndarray:
+    """Integrated |S_x - S_y|, |S_x - S_z|, |S_y - S_z| of one replicate at
+    every bound, shape (aspect, kind, 3, bound).
 
-    The x, y and z profiles of every kind come from one pair extraction.
+    The x, y and z profiles of every kind and aspect come from one pair
+    extraction at the largest aspect's extent and one kernel call.
     """
     rho2 = intensity_sq_hat(pattern)
-    pairs = pattern_pairs(pattern, profile_extent(r_grid[-1], a))
-    out = np.empty((len(kinds), 3, r_grid.size))
-    for k, kind in enumerate(kinds):
-        sx, sy, sz = (pair_numerators(pairs, u, kind, r_grid, a) / rho2 for u in _AXES)
-        out[k] = np.abs([sx - sy, sx - sz, sy - sz])
-    return out
+    pairs = pattern_pairs(pattern, profile_extent(r_grid[-1], max(aspects)))
+    profiles = pair_numerators(pairs, _AXES, kinds, r_grid, aspects) / rho2
+    sx, sy, sz = np.moveaxis(profiles, 2, 0)
+    integrate = _integrator(r_grid, np.abs(np.stack([sx - sy, sx - sz, sy - sz], axis=2)))
+    return np.stack([integrate(r1, r2) for r2 in r2_grid], axis=-1)
 
 
-def _sweep(patterns, cfg: TestConfig, r2_grid, kinds, include_self: bool, threads: int):
-    """One ``(r2, {kind: IsotropyTestResult})`` pair per bound of ``r2_grid``.
+def _sweep(patterns, cfg: TestConfig, r2_grid, kinds, aspects, include_self: bool,
+           threads: int):
+    """One ``(r2, {kind: IsotropyTestResult})`` pair per aspect of
+    ``aspects`` and bound of ``r2_grid``, aspect-major.
 
-    ``cfg`` supplies ``a``, ``r1``, ``alpha_level`` and ``grid_points``.
+    ``cfg`` supplies ``r1``, ``alpha_level`` and ``grid_points``.
     """
     patterns = list(patterns)
     if len(patterns) < 2:
@@ -219,24 +226,31 @@ def _sweep(patterns, cfg: TestConfig, r2_grid, kinds, include_self: bool, thread
         raise ValueError("r2_grid must be nonempty and strictly ascending")
     if not r2_grid[0] > cfg.r1:
         raise ValueError("every r2 must exceed r1")
+    aspects = [float(a) for a in aspects]
+    if not aspects:
+        raise ValueError("need at least one aspect ratio")
+    for a in aspects:
+        if not a > 1.0:
+            raise ValueError(f"aspect ratio must exceed 1, got {a}")
     r_grid = np.linspace(0.0, float(r2_grid[-1]), cfg.grid_points)
 
-    diffs = np.array(parallel_map(
-        partial(_replicate_differences, kinds=kinds, r_grid=r_grid, a=cfg.a),
+    stats = np.array(parallel_map(
+        partial(_replicate_statistics, kinds=kinds, aspects=aspects, r_grid=r_grid,
+                r1=cfg.r1, r2_grid=r2_grid.tolist()),
         patterns,
         threads,
-    ))
-    integrators = [_integrator(r_grid, diffs[:, k]) for k in range(len(kinds))]
+    ))  # (replicate, aspect, kind, 3, bound)
     out = []
-    for r2 in r2_grid:
-        results = {}
-        for kind, integrate in zip(kinds, integrators):
-            t = integrate(cfg.r1, float(r2))  # (replicate, 3)
-            txy, tz = t[:, 0], np.minimum(t[:, 1], t[:, 2])
-            threshold, rejections = _decide(txy, tz, cfg.alpha_level, include_self)
-            results[kind] = IsotropyTestResult(txy, tz, threshold, rejections,
-                                               float(rejections.mean()))
-        out.append((float(r2), results))
+    for i in range(len(aspects)):
+        for b, r2 in enumerate(r2_grid):
+            results = {}
+            for k, kind in enumerate(kinds):
+                t = stats[:, i, k, :, b]
+                txy, tz = t[:, 0], np.minimum(t[:, 1], t[:, 2])
+                threshold, rejections = _decide(txy, tz, cfg.alpha_level, include_self)
+                results[kind] = IsotropyTestResult(txy, tz, threshold, rejections,
+                                                   float(rejections.mean()))
+            out.append((float(r2), results))
     return out
 
 
@@ -258,7 +272,8 @@ def run_test(patterns, cfg: TestConfig, include_self: bool = True,
     rate is at most ``alpha_level`` and usually well below it (about 0.01
     at ``alpha_level=0.05`` for 500 Poisson replicates in the unit cube).
     """
-    [(_, results)] = _sweep(patterns, cfg, [cfg.r2], (cfg.kind,), include_self, threads)
+    [(_, results)] = _sweep(patterns, cfg, [cfg.r2], (cfg.kind,), (cfg.a,),
+                            include_self, threads)
     return results[cfg.kind]
 
 
@@ -269,20 +284,27 @@ def power_curve_from_patterns(
     kinds=KINDS,
     include_self: bool = True,
     threads: int = 1,
+    aspects=None,
 ):
-    """Powers over integration bounds ``r2_grid`` for replicated patterns.
+    """Powers over integration bounds ``r2_grid`` and aspect ratios
+    ``aspects`` for replicated patterns.
 
-    Profiles are estimated once per replicate on a shared grid reaching
-    ``max(r2_grid)``, and their absolute differences are integrated up to
-    each bound with the rule of `run_test`, so neighbouring bounds share
-    all randomness.  ``cfg_base`` supplies ``a``, ``r1``, ``alpha_level``
-    and ``grid_points``.  Returns one
-    ``(r2, power_conical, power_cylindrical)`` row per bound (a power is
-    NaN when its kind was not requested).
+    Each replicate's pairs are extracted once, at the extent of the
+    largest aspect, and its profiles of every kind and aspect are
+    estimated from them on a shared grid reaching ``max(r2_grid)``.  The
+    absolute differences are integrated up to each bound with the rule of
+    `run_test` inside the worker that holds the replicate, so neighbouring
+    bounds and aspects share all randomness and only the statistics travel
+    back.  ``cfg_base`` supplies ``r1``, ``alpha_level``, ``grid_points``
+    and, unless ``aspects`` is given, the one aspect ratio ``a``.  Returns
+    one ``(r2, power_conical, power_cylindrical)`` row per aspect and
+    bound, aspect-major (a power is NaN when its kind was not requested).
     """
+    if aspects is None:
+        aspects = (cfg_base.a,)
     return [
         (r2, *(results[kind].power if kind in results else math.nan for kind in KINDS))
-        for r2, results in _sweep(patterns, cfg_base, r2_grid, tuple(kinds),
+        for r2, results in _sweep(patterns, cfg_base, r2_grid, tuple(kinds), aspects,
                                   include_self, threads)
     ]
 

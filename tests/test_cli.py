@@ -6,6 +6,9 @@ from functools import partial
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from aniso3d import simulate
 from aniso3d.cli import main
@@ -22,6 +25,25 @@ class TestPatternFiles:
         npt.assert_array_equal(back.points, pattern.points)
         npt.assert_array_equal(back.window.lo, pattern.window.lo)
         npt.assert_array_equal(back.window.hi, pattern.window.hi)
+
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(
+        lo=arrays(np.float64, 3, elements=st.floats(-1e6, 1e6)),
+        sides=arrays(np.float64, 3, elements=st.floats(1e-3, 1e6)),
+        fractions=arrays(np.float64, st.tuples(st.integers(0, 20), st.just(3)),
+                         elements=st.floats(0.0, 1.0), unique=True),
+    )
+    def test_round_trip_exact_for_any_window(self, tmp_path_factory, lo, sides, fractions):
+        hi = lo + sides
+        points = np.unique(np.minimum(lo + fractions * sides, hi), axis=0)
+        pattern = PointPattern(points, BoxWindow(lo, hi))
+        path = tmp_path_factory.mktemp("round_trip") / "p.txt"
+        write_pattern(path, pattern)
+        back = read_pattern(path)
+        assert back.points.shape == pattern.points.shape
+        assert back.points.tobytes() == pattern.points.tobytes()
+        assert back.window.lo.tobytes() == pattern.window.lo.tobytes()
+        assert back.window.hi.tobytes() == pattern.window.hi.tobytes()
 
     def test_missing_window(self, tmp_path):
         path = tmp_path / "bad.txt"
@@ -184,6 +206,24 @@ class TestEstimateCommand:
         assert code == 1
         assert "out of range" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("grid", ["0", "1"])
+    def test_rejects_grid_below_two(self, campaign, tmp_path, capsys, grid):
+        out = tmp_path / "x.csv"
+        code = run_cli("estimate", "--input", campaign, "--grid", grid,
+                       "--r-max", "0.1", "--out", out)
+        assert code == 1
+        assert f"error: --grid needs at least 2 grid radii, got {grid}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("r_max", ["0", "-0.05"])
+    def test_rejects_nonpositive_r_max(self, campaign, tmp_path, capsys, r_max):
+        out = tmp_path / "x.csv"
+        code = run_cli("estimate", "--input", campaign, "--grid", "8",
+                       f"--r-max={r_max}", "--out", out)
+        assert code == 1
+        assert "error: --r-max must be positive" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_window_mismatch(self, tmp_path, capsys):
         d = tmp_path / "mix"
         d.mkdir()
@@ -248,6 +288,36 @@ class TestTestAndPowerCommands:
             ) == 0
             blobs.append(out.read_bytes())
         assert blobs[0] == blobs[1]
+
+    def test_aspect_sweep_matches_single_aspect_runs(self, tmp_path):
+        common = ("power", "--model", "plcpp", "--rho", "400", "--rho-l", "150",
+                  "--sigma", "0.002", "--m", "8", "--seed", "3",
+                  "--r2-grid", "0.01,0.03", "--grid", "48", "--threads", "1")
+        tables = []
+        for aspect in ("2.5,1.5", "2.5", "1.5"):
+            out = tmp_path / f"a{aspect}.csv"
+            assert run_cli(*common, "--aspect", aspect, "--out", out) == 0
+            tables.append([l for l in out.read_text().splitlines() if not l.startswith("#")])
+        both, first, second = tables
+        assert both == first + second[1:]
+
+    def test_rejects_empty_aspect_list(self, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        code = run_cli("power", "--model", "poisson", "--rho", "100", "--m", "4",
+                       "--aspect", "", "--r2-grid", "0.05", "--out", out)
+        assert code == 1
+        assert "error: --aspect needs at least one value, got ''" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("bounds", ["0.02:0.1:0", "0.02:0.1:-2", " , "])
+    def test_rejects_empty_r2_grid(self, tmp_path, capsys, bounds):
+        out = tmp_path / "x.csv"
+        code = run_cli("power", "--model", "poisson", "--rho", "100", "--m", "4",
+                       "--r2-grid", bounds, "--out", out)
+        assert code == 1
+        assert (f"error: --r2-grid needs at least one value, got {bounds!r}"
+                in capsys.readouterr().err)
+        assert not out.exists()
 
     def test_missing_r2_grid(self, tmp_path, capsys):
         code = run_cli("power", "--model", "poisson", "--rho", "100", "--m", "4",

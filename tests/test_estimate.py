@@ -5,15 +5,24 @@ import math
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from aniso3d.estimate import (
     KProfile,
+    PatternPairs,
+    _axial_radial,
+    _axis_parts,
     conical_k,
     cylindrical_k,
     default_r_grid,
     intensity_sq_hat,
     k_profile,
+    pair_numerators,
+    pattern_pairs,
     pooled_profile,
+    profile_extent,
     translation_weight,
 )
 from aniso3d.geometry import (
@@ -24,7 +33,14 @@ from aniso3d.geometry import (
     cylinder_contains,
     equal_shape_link,
 )
-from aniso3d.simulate import BoxWindow, PointPattern, simulate_poisson, unit_cube
+from aniso3d.simulate import (
+    BoxWindow,
+    ModelSpec,
+    PointPattern,
+    simulate_model,
+    simulate_poisson,
+    unit_cube,
+)
 
 THETA_A2 = 0.4636476
 
@@ -268,3 +284,96 @@ class TestKProfileType:
             KProfile("spherical", Z_AXIS, np.array([0.1]), np.array([0.0]), 2.0)
         with pytest.raises(ValueError, match="length"):
             KProfile("conical", Z_AXIS, np.array([0.1]), np.array([0.0, 1.0]), 2.0)
+
+
+# signed zeros, subnormals, ordinary values and magnitudes whose squares overflow
+COMPONENTS = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e300, -1e300]),
+    st.floats(-1e-307, 1e-307, allow_subnormal=True),
+    st.floats(-2.0, 2.0),
+    st.floats(-1e308, 1e308),
+)
+
+
+def dummy_pairs(vec):
+    return PatternPairs(vec, np.zeros(len(vec)), np.ones(len(vec)), 0, unit_cube(), 0.0)
+
+
+class TestFusedKernel:
+    @settings(max_examples=50, deadline=None, derandomize=True)
+    @given(vec=arrays(np.float64, st.tuples(st.integers(1, 12), st.just(3)),
+                      elements=COMPONENTS))
+    def test_axis_shortcut_matches_projection_bits(self, vec):
+        with np.errstate(over="ignore"):
+            sq = vec * vec
+            for k, u in enumerate((X_AXIS, Y_AXIS, Z_AXIS)):
+                axial, radial = _axial_radial(dummy_pairs(vec), u)
+                fast_axial, fast_radial = _axis_parts(vec, sq, k)
+            assert fast_axial.tobytes() == axial.tobytes()
+            assert fast_radial.tobytes() == radial.tobytes()
+
+    def test_one_call_matches_single_profiles(self):
+        # pairs extracted once at the largest aspect's extent; every aspect,
+        # kind and direction reproduces its own k_profile bit for bit
+        pattern = simulate_model(ModelSpec.plcpp(400.0, 150.0, 0.01), unit_cube(), 41)
+        grid = np.linspace(0.0, 0.09, 40)
+        aspects = [1.5, 3.0, 2.0]
+        directions = [X_AXIS, Y_AXIS, Z_AXIS, np.array([0.6, 0.0, 0.8])]
+        kinds = ["cylindrical", "conical"]
+        pairs = pattern_pairs(pattern, profile_extent(grid[-1], max(aspects)))
+        fused = pair_numerators(pairs, directions, kinds, grid, aspects)
+        assert fused.shape == (3, 2, 4, 40)
+        rho2 = intensity_sq_hat(pattern)
+        for i, a in enumerate(aspects):
+            for j, kind in enumerate(kinds):
+                for d, u in enumerate(directions):
+                    single = k_profile(pattern, u, kind, grid, a).values
+                    assert (fused[i, j, d] / rho2).tobytes() == single.tobytes()
+
+
+class TestEstimatorProperties:
+    GRID = np.linspace(0.0, 0.1, 33)
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**32 - 1), shuffle=st.integers(0, 2**32 - 1))
+    def test_permuting_points_keeps_k_bits(self, seed, shuffle):
+        pattern = simulate_model(ModelSpec.plcpp(300.0, 100.0, 0.02), unit_cube(), seed)
+        order = np.random.default_rng(shuffle).permutation(pattern.n)
+        permuted = PointPattern(pattern.points[order], pattern.window)
+        for kind in ("conical", "cylindrical"):
+            for u in (X_AXIS, Y_AXIS, Z_AXIS):
+                a = k_profile(pattern, u, kind, self.GRID, 2.0).values
+                b = k_profile(permuted, u, kind, self.GRID, 2.0).values
+                assert a.tobytes() == b.tobytes()
+
+    @settings(max_examples=10, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**32 - 1), a=st.floats(1.2, 3.0))
+    def test_swapping_x_and_y_exchanges_k_x_and_k_y(self, seed, a):
+        # equal to rounding only: the swap changes the lexicographic point
+        # order and with it the order in which edge weights are summed
+        lo, hi = np.zeros(3), np.array([1.0, 0.8, 1.25])
+        pattern = simulate_model(ModelSpec.poisson(400.0), BoxWindow(lo, hi), seed)
+        swap = [1, 0, 2]
+        swapped = PointPattern(pattern.points[:, swap], BoxWindow(lo[swap], hi[swap]))
+        grid = np.linspace(0.0, 0.2 / a, 24)
+        for kind in ("conical", "cylindrical"):
+            for u, v in ((X_AXIS, Y_AXIS), (Y_AXIS, X_AXIS), (Z_AXIS, Z_AXIS)):
+                npt.assert_allclose(k_profile(swapped, u, kind, grid, a).values,
+                                    k_profile(pattern, v, kind, grid, a).values,
+                                    rtol=1e-12, atol=0.0)
+
+    @settings(max_examples=15, deadline=None, derandomize=True)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        a=st.floats(1.05, 4.0),
+        u=arrays(np.float64, 3, elements=st.floats(-1.0, 1.0)).filter(
+            lambda v: np.linalg.norm(v) > 0.1),
+        n_grid=st.integers(2, 80),
+    )
+    def test_k_is_nondecreasing_in_r(self, seed, a, u, n_grid):
+        pattern = simulate_model(ModelSpec.poisson(300.0), unit_cube(), seed)
+        u = u / np.linalg.norm(u)
+        grid = np.linspace(0.0, 0.4 / math.sqrt(a * a + 1.0), n_grid)
+        for kind in ("conical", "cylindrical"):
+            values = k_profile(pattern, u, kind, grid, a).values
+            assert values[0] >= 0.0 and np.all(np.diff(values) >= 0.0)

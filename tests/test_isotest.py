@@ -202,6 +202,46 @@ class TestPowerCurve:
             (0.07, 1.0, 0.9), (0.1, 1.0, 0.9),
         ]
 
+    def test_aspect_sweep_equals_single_aspect_sweeps(self):
+        # one pair extraction at the largest aspect serves the smaller ones
+        pats = simulate_campaign(ModelSpec.plcpp(300.0, 100.0, 0.02), unit_cube(), 20, seed=21)
+        bounds = [0.01, 0.03, 0.06]
+        for base, include_self in ((cfg(r2=0.06), True),
+                                   (cfg(r2=0.06, r1=0.005), False)):
+            rows = power_curve_from_patterns(pats, base, bounds, include_self=include_self,
+                                             aspects=[1.5, 3, 2])
+            singles = []
+            for a in (1.5, 3.0, 2.0):
+                singles += power_curve_from_patterns(
+                    pats, TestConfig(kind="conical", a=a, r2=0.06, r1=base.r1), bounds,
+                    include_self=include_self)
+            assert rows == singles
+
+    def test_pinned_aspect_sweep_table(self):
+        # fixed-seed powers per (aspect, bound), aspect-major
+        pats = simulate_campaign(ModelSpec.plcpp(300.0, 100.0, 0.02), unit_cube(), 20, seed=21)
+        bounds = [0.01, 0.03, 0.06]
+        rows = power_curve_from_patterns(pats, cfg(r2=0.06), bounds, aspects=[1.5, 3, 2])
+        assert rows == [
+            (0.01, 0.05, 0.05), (0.03, 0.1, 0.05), (0.06, 0.7, 0.4),
+            (0.01, 0.15, 0.25), (0.03, 0.6, 0.4), (0.06, 1.0, 1.0),
+            (0.01, 0.1, 0.15), (0.03, 0.5, 0.15), (0.06, 0.9, 0.85),
+        ]
+        rows = power_curve_from_patterns(pats, cfg(r2=0.06, r1=0.005), bounds,
+                                         include_self=False, aspects=[1.5, 3, 2])
+        assert rows == [
+            (0.01, 0.05, 0.0), (0.03, 0.1, 0.0), (0.06, 0.6, 0.35),
+            (0.01, 0.1, 0.05), (0.03, 0.3, 0.35), (0.06, 1.0, 0.95),
+            (0.01, 0.1, 0.15), (0.03, 0.4, 0.15), (0.06, 0.8, 0.7),
+        ]
+
+    def test_rejects_bad_aspect_lists(self):
+        pats = simulate_campaign(ModelSpec.poisson(200.0), unit_cube(), 5, seed=14)
+        with pytest.raises(ValueError, match="at least one aspect"):
+            power_curve_from_patterns(pats, cfg(), [0.05], aspects=[])
+        with pytest.raises(ValueError, match="aspect ratio must exceed 1"):
+            power_curve_from_patterns(pats, cfg(), [0.05], aspects=[2.0, 1.0])
+
     def test_deterministic_campaign(self):
         model = ModelSpec.plcpp(500.0, 200.0, 0.01)
         c = TestConfig(kind="conical", a=2.0, r2=0.05)
