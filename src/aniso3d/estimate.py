@@ -141,8 +141,11 @@ def pattern_pairs(pattern: PointPattern, extent: float) -> PatternPairs:
 
 def _axial_radial(pairs: PatternPairs, u: np.ndarray):
     axial = pairs.vec @ u
-    radial = _norms(pairs.vec - np.multiply.outer(axial, u))
-    return np.abs(axial), radial
+    # the offsets from the axis, formed component-major so that every
+    # operation runs along the pairs; elementwise the same as
+    # ``vec - np.multiply.outer(axial, u)``
+    offset = pairs.vec.T - np.multiply.outer(u, axial)
+    return np.abs(axial), _norms(offset.T)
 
 
 def conical_k(pattern: PointPattern, u, cone: ConeParams) -> float:
@@ -187,17 +190,6 @@ def profile_extent(r_max: float, a: float) -> float:
     return cone.r_cn * (1.0 + 1e-9)
 
 
-def _axis_parts(vec: np.ndarray, sq: np.ndarray, k: int):
-    """`_axial_radial` along the coordinate axis ``e_k``, bit for bit.
-
-    The product with ``e_k`` only adds exact zeros, so the axial part is
-    ``|vec[:, k]|`` and the radial norm sums the squares ``sq = vec * vec``
-    of the other two components in index order.
-    """
-    i, j = (c for c in range(3) if c != k)
-    return np.abs(vec[:, k]), np.sqrt(sq[:, i] + sq[:, j])
-
-
 def pair_numerators(pairs: PatternPairs, directions, kinds, r_grid, aspects) -> np.ndarray:
     """Cumulative edge-weighted ordered-pair counts along the grid.
 
@@ -219,14 +211,7 @@ def pair_numerators(pairs: PatternPairs, directions, kinds, r_grid, aspects) -> 
     out = np.empty((len(aspects), len(kinds), len(directions), r_grid.size))
     if r_grid.size == 0:
         return out
-    sq = pairs.vec * pairs.vec
-    parts = []
-    for u in directions:
-        axis = np.flatnonzero(u)
-        if axis.size == 1 and u[axis[0]] == 1.0:
-            parts.append(_axis_parts(pairs.vec, sq, int(axis[0])))
-        else:
-            parts.append(_axial_radial(pairs, u))
+    parts = [_axial_radial(pairs, u) for u in directions]
     weight = 2.0 * pairs.weight
     for i, a in enumerate(aspects):
         scale = math.sqrt(a * a + 1.0)

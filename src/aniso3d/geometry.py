@@ -83,10 +83,11 @@ def as_direction(u) -> np.ndarray:
 
 
 def _norms(v) -> np.ndarray:
-    """Euclidean norm along the last axis (canonical arithmetic used by all
-    membership tests, so independent code paths agree bit-for-bit)."""
-    v = np.asarray(v, dtype=float)
-    return np.sqrt(np.sum(v * v, axis=-1))
+    """Euclidean norm of 3-vectors along the last axis, with the squares
+    summed in index order (canonical arithmetic used by all membership
+    tests, so independent code paths agree bit-for-bit)."""
+    x, y, z = np.moveaxis(np.asarray(v, dtype=float), -1, 0)
+    return np.sqrt((x * x + y * y) + z * z)
 
 
 def _cone_mask(norm_v, axial_abs, r_cn, cos_theta):

@@ -209,7 +209,8 @@ def _sweep(patterns, cfg: TestConfig, r2_grid, kinds, aspects, include_self: boo
     """One ``(r2, {kind: IsotropyTestResult})`` pair per aspect of
     ``aspects`` and bound of ``r2_grid``, aspect-major.
 
-    ``cfg`` supplies ``r1``, ``alpha_level`` and ``grid_points``.
+    ``cfg`` supplies ``r1``, ``alpha_level`` and ``grid_points``; its
+    aspect ratio ``a`` must be one of ``aspects``.
     """
     patterns = list(patterns)
     if len(patterns) < 2:
@@ -232,6 +233,8 @@ def _sweep(patterns, cfg: TestConfig, r2_grid, kinds, aspects, include_self: boo
     for a in aspects:
         if not a > 1.0:
             raise ValueError(f"aspect ratio must exceed 1, got {a}")
+    if cfg.a not in aspects:
+        raise ValueError(f"the configured aspect ratio {cfg.a} is not among {aspects}")
     r_grid = np.linspace(0.0, float(r2_grid[-1]), cfg.grid_points)
 
     stats = np.array(parallel_map(
@@ -295,8 +298,9 @@ def power_curve_from_patterns(
     absolute differences are integrated up to each bound with the rule of
     `run_test` inside the worker that holds the replicate, so neighbouring
     bounds and aspects share all randomness and only the statistics travel
-    back.  ``cfg_base`` supplies ``r1``, ``alpha_level``, ``grid_points``
-    and, unless ``aspects`` is given, the one aspect ratio ``a``.  Returns
+    back.  ``cfg_base`` supplies ``r1``, ``alpha_level`` and
+    ``grid_points``; its aspect ratio ``a`` is swept alone when
+    ``aspects`` is None and must be one of ``aspects`` otherwise.  Returns
     one ``(r2, power_conical, power_cylindrical)`` row per aspect and
     bound, aspect-major (a power is NaN when its kind was not requested).
     """

@@ -13,7 +13,6 @@ from aniso3d.estimate import (
     KProfile,
     PatternPairs,
     _axial_radial,
-    _axis_parts,
     conical_k,
     cylindrical_k,
     default_r_grid,
@@ -29,6 +28,7 @@ from aniso3d.geometry import (
     X_AXIS,
     Y_AXIS,
     Z_AXIS,
+    _norms,
     cone_contains,
     cylinder_contains,
     equal_shape_link,
@@ -293,24 +293,28 @@ COMPONENTS = st.one_of(
     st.floats(-2.0, 2.0),
     st.floats(-1e308, 1e308),
 )
-
-
-def dummy_pairs(vec):
-    return PatternPairs(vec, np.zeros(len(vec)), np.ones(len(vec)), 0, unit_cube(), 0.0)
+DIRECTIONS = st.one_of(
+    st.sampled_from([X_AXIS, Y_AXIS, Z_AXIS, -Z_AXIS]),
+    arrays(np.float64, 3, elements=st.floats(-1.0, 1.0)).filter(
+        lambda v: np.linalg.norm(v) > 0.1).map(lambda v: v / np.linalg.norm(v)),
+)
 
 
 class TestFusedKernel:
-    @settings(max_examples=50, deadline=None, derandomize=True)
+    @settings(max_examples=100, deadline=None, derandomize=True)
     @given(vec=arrays(np.float64, st.tuples(st.integers(1, 12), st.just(3)),
-                      elements=COMPONENTS))
-    def test_axis_shortcut_matches_projection_bits(self, vec):
-        with np.errstate(over="ignore"):
-            sq = vec * vec
-            for k, u in enumerate((X_AXIS, Y_AXIS, Z_AXIS)):
-                axial, radial = _axial_radial(dummy_pairs(vec), u)
-                fast_axial, fast_radial = _axis_parts(vec, sq, k)
-            assert fast_axial.tobytes() == axial.tobytes()
-            assert fast_radial.tobytes() == radial.tobytes()
+                      elements=COMPONENTS),
+           u=DIRECTIONS)
+    def test_axial_radial_matches_geometry_bits(self, vec, u):
+        # the component-major offsets give the bits of the row-major
+        # formula that cylinder_contains uses, for every direction
+        with np.errstate(over="ignore", invalid="ignore"):
+            pairs = PatternPairs(vec, _norms(vec), np.ones(len(vec)), 0, unit_cube(), 0.0)
+            axial_abs, radial = _axial_radial(pairs, u)
+            axial = vec @ u
+            expected = _norms(vec - np.multiply.outer(axial, u))
+        assert axial_abs.tobytes() == np.abs(axial).tobytes()
+        assert radial.tobytes() == expected.tobytes()
 
     def test_one_call_matches_single_profiles(self):
         # pairs extracted once at the largest aspect's extent; every aspect,

@@ -241,6 +241,8 @@ class TestPowerCurve:
             power_curve_from_patterns(pats, cfg(), [0.05], aspects=[])
         with pytest.raises(ValueError, match="aspect ratio must exceed 1"):
             power_curve_from_patterns(pats, cfg(), [0.05], aspects=[2.0, 1.0])
+        with pytest.raises(ValueError, match="configured aspect ratio 2.0 is not among"):
+            power_curve_from_patterns(pats, cfg(), [0.05], aspects=[1.5, 3.0])
 
     def test_deterministic_campaign(self):
         model = ModelSpec.plcpp(500.0, 200.0, 0.01)
