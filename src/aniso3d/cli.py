@@ -97,17 +97,20 @@ def _resolve(args, config, name, required=False):
 def _float_list(text, flag) -> list:
     """Comma or space separated list, or linspace shorthand 'lo:hi:n'.
 
-    An empty list is an error that names ``flag``.
+    An empty or malformed list is an error that names ``flag``.
     """
     text = str(text)
-    if ":" in text:
-        lo, hi, n = text.split(":")
-        values = np.linspace(float(lo), float(hi), max(int(n), 0))
-    else:
-        values = text.replace(",", " ").split()
-    if len(values) == 0:
+    try:
+        if ":" in text:
+            lo, hi, n = text.split(":")
+            values = np.linspace(float(lo), float(hi), max(int(n), 0)).tolist()
+        else:
+            values = [float(v) for v in text.replace(",", " ").split()]
+    except ValueError:
+        raise ValueError(f"{flag} expects numbers or lo:hi:n, got {text!r}") from None
+    if not values:
         raise ValueError(f"{flag} needs at least one value, got {text!r}")
-    return [float(v) for v in values]
+    return values
 
 
 def _parse_window(text) -> BoxWindow:
@@ -186,6 +189,11 @@ def cmd_simulate(args, config) -> None:
     print(f"wrote {manifest.m} patterns and manifest.txt to {manifest.out_dir}")
 
 
+def _read_input(source) -> list:
+    """Patterns from an ``--input`` directory, file, or comma list of files."""
+    return read_patterns(source.split(",") if "," in source else source)
+
+
 def _pool_args(job):
     patterns, u, kind, grid, a = job
     return pooled_profile(patterns, u, kind, grid, a)
@@ -194,7 +202,11 @@ def _pool_args(job):
 def cmd_estimate(args, config) -> None:
     source = _resolve(args, config, "input", required=True)
     out = _resolve(args, config, "out", required=True)
-    a = float(_resolve(args, config, "aspect"))
+    aspect = _resolve(args, config, "aspect")
+    aspects = _float_list(aspect, "--aspect")
+    if len(aspects) != 1:
+        raise ValueError(f"--aspect takes one aspect ratio for estimate, got {aspect!r}")
+    a = aspects[0]
     kinds = _kinds(_resolve(args, config, "kind"))
     n_grid = _resolve(args, config, "grid")
     if n_grid < 2:
@@ -204,7 +216,7 @@ def cmd_estimate(args, config) -> None:
     if not directions or any(d not in _AXES for d in directions):
         raise ValueError("directions must be a comma list drawn from x, y, z")
 
-    patterns = read_patterns(source.split(",") if "," in source else source)
+    patterns = _read_input(source)
     window = patterns[0].window
     r_max = _resolve(args, config, "r_max")
     if r_max is None:
@@ -272,7 +284,7 @@ def _run_power_like(args, config, name) -> None:
 
     source = _resolve(args, config, "input")
     if source is not None:
-        patterns = read_patterns(source)
+        patterns = _read_input(source)
         origin = f"input = {source}"
         m = len(patterns)
     else:
@@ -343,7 +355,8 @@ def _build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=helptext)
         add_common(p)
         add_model(p)
-        p.add_argument("--input", help="pattern directory (alternative to --model)")
+        p.add_argument("--input",
+                       help="pattern file, directory, or comma list (alternative to --model)")
         p.add_argument("--kind", choices=["conical", "cylindrical", "both"])
         p.add_argument("--aspect", help="aspect ratio or comma list of ratios")
         p.add_argument("--r2-grid", dest="r2_grid",

@@ -190,18 +190,50 @@ def profile_extent(r_max: float, a: float) -> float:
     return cone.r_cn * (1.0 + 1e-9)
 
 
+def _grid_index(grid: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Exactly ``np.searchsorted(grid, x, side="left")`` for an ascending grid.
+
+    On an evenly spaced grid the index is guessed in constant time from
+    the spacing, then kept only where ``grid[k-1] < x <= grid[k]`` holds
+    against the grid's own values (the grid is padded with -inf and +inf,
+    so k = 0 and k = n need no special case).  The values that fail the
+    check, all of them on an uneven grid, go to ``searchsorted``; the
+    result is therefore exact for any ascending grid.
+    """
+    n = grid.size
+    span = float(grid[-1]) - float(grid[0]) if n > 1 else 0.0
+    inv_step = (n - 1) / span if span > 0.0 else math.inf
+    if not math.isfinite(inv_step):
+        return np.searchsorted(grid, x, side="left")
+    t = x - grid[0]
+    t *= inv_step
+    np.fmax(t, 0.0, out=t)   # also maps NaN to 0, where the check fails
+    np.fmin(t, n, out=t)
+    k = np.empty(t.shape, np.intp)
+    np.ceil(t, out=k, casting="unsafe")
+    # the float buffer is reused for the knots on both sides of each guess
+    padded = np.concatenate(([-np.inf], grid, [np.inf]))
+    ok = padded.take(k, out=t) < x
+    ok &= x <= padded[1:].take(k, out=t)
+    if not ok.all():
+        miss = np.flatnonzero(~ok)
+        k[miss] = np.searchsorted(grid, x[miss], side="left")
+    return k
+
+
 def pair_numerators(pairs: PatternPairs, directions, kinds, r_grid, aspects) -> np.ndarray:
     """Cumulative edge-weighted ordered-pair counts along the grid.
 
     Returns an array of shape (aspect, kind, direction, radius).  For each
     pair and element the smallest grid index whose element contains it is
-    found from its critical radius; accumulating ``2 * weight`` there and
-    taking the running sum yields, at every grid point, exactly the
-    direct double-sum numerator of the estimator.  The axial and radial
-    parts of the pairs are formed once per direction and shared by every
-    kind and aspect; ``pairs`` must reach `profile_extent` of the largest
-    aspect, and a smaller aspect's elements simply leave the farther
-    pairs out.
+    found from its critical radius by `_grid_index`, an exact
+    constant-time ``searchsorted`` on evenly spaced grids; accumulating
+    ``2 * weight`` there and taking the running sum yields, at every grid
+    point, exactly the direct double-sum numerator of the estimator.  The
+    axial and radial parts of the pairs, and the radial grid index, are
+    formed once per direction and shared by every kind and aspect;
+    ``pairs`` must reach `profile_extent` of the largest aspect, and a
+    smaller aspect's elements simply leave the farther pairs out.
     """
     directions = [as_direction(u) for u in directions]
     for kind in kinds:
@@ -211,22 +243,21 @@ def pair_numerators(pairs: PatternPairs, directions, kinds, r_grid, aspects) -> 
     out = np.empty((len(aspects), len(kinds), len(directions), r_grid.size))
     if r_grid.size == 0:
         return out
-    parts = [_axial_radial(pairs, u) for u in directions]
+    links = [(math.sqrt(a * a + 1.0), ConeParams(1.0, math.atan2(1.0, a)).cos_theta)
+             for a in aspects]
     weight = 2.0 * pairs.weight
-    for i, a in enumerate(aspects):
-        scale = math.sqrt(a * a + 1.0)
-        cos_theta = ConeParams(1.0, math.atan2(1.0, a)).cos_theta
-        for j, kind in enumerate(kinds):
-            for d, (axial_abs, radial) in enumerate(parts):
+    for d, u in enumerate(directions):
+        axial_abs, radial = _axial_radial(pairs, u)
+        radial_idx = _grid_index(r_grid, radial) if "cylindrical" in kinds else None
+        for i, (a, (scale, cos_theta)) in enumerate(zip(aspects, links)):
+            for j, kind in enumerate(kinds):
                 if kind == "conical":
                     keep = _cone_mask(pairs.norm, axial_abs, r_grid[-1] * scale, cos_theta)
-                    idx = np.searchsorted(r_grid * scale, pairs.norm[keep], side="left")
+                    idx = _grid_index(r_grid * scale, pairs.norm[keep])
                 else:
                     keep = _cylinder_mask(axial_abs, radial, r_grid[-1], a * r_grid[-1])
-                    idx = np.maximum(
-                        np.searchsorted(a * r_grid, axial_abs[keep], side="left"),
-                        np.searchsorted(r_grid, radial[keep], side="left"),
-                    )
+                    idx = np.maximum(_grid_index(a * r_grid, axial_abs[keep]),
+                                     radial_idx[keep])
                 acc = np.bincount(idx, weights=weight[keep], minlength=r_grid.size)
                 out[i, j, d] = np.cumsum(acc)
     return out

@@ -224,6 +224,18 @@ class TestEstimateCommand:
         assert "error: --r-max must be positive" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("aspect, message", [
+        ("1.5,2", "error: --aspect takes one aspect ratio for estimate, got '1.5,2'"),
+        ("two", "error: --aspect expects numbers or lo:hi:n, got 'two'"),
+    ])
+    def test_rejects_bad_aspect(self, campaign, tmp_path, capsys, aspect, message):
+        out = tmp_path / "x.csv"
+        code = run_cli("estimate", "--input", campaign, "--aspect", aspect,
+                       "--r-max", "0.1", "--out", out)
+        assert code == 1
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
     def test_window_mismatch(self, tmp_path, capsys):
         d = tmp_path / "mix"
         d.mkdir()
@@ -318,6 +330,34 @@ class TestTestAndPowerCommands:
         assert (f"error: --r2-grid needs at least one value, got {bounds!r}"
                 in capsys.readouterr().err)
         assert not out.exists()
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--r2-grid", "0.02:0.1"), ("--r2-grid", "0.02:x:3"), ("--r2-grid", "0.02:0.1:2.5"),
+        ("--r2-grid", "0.02,oops"), ("--aspect", "2;3"),
+    ])
+    def test_malformed_list_names_flag(self, tmp_path, capsys, flag, value):
+        out = tmp_path / "x.csv"
+        args = {"--r2-grid": "0.05", "--aspect": "2", flag: value}
+        code = run_cli("power", "--model", "poisson", "--rho", "100", "--m", "4",
+                       *[x for item in args.items() for x in item], "--out", out)
+        assert code == 1
+        assert (f"error: {flag} expects numbers or lo:hi:n, got {value!r}"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
+    def test_comma_input_matches_directory(self, tmp_path):
+        pats = tmp_path / "pats"
+        run_cli("simulate", "--model", "plcpp", "--rho", "300", "--rho-l", "100",
+                "--sigma", "0.01", "--m", "3", "--seed", "8", "--out", pats)
+        files = ",".join(str(pats / f"pattern_{i:05d}.txt") for i in range(3))
+        tables = []
+        for source in (pats, files):
+            out = tmp_path / "test.csv"
+            assert run_cli("test", "--input", source, "--r2-grid", "0.03,0.06",
+                           "--grid", "32", "--out", out) == 0
+            # the input echo names the source; every other byte is shared
+            tables.append(out.read_text().replace(f"# input = {source}\n", ""))
+        assert tables[0] == tables[1]
 
     def test_missing_r2_grid(self, tmp_path, capsys):
         code = run_cli("power", "--model", "poisson", "--rho", "100", "--m", "4",

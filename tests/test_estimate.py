@@ -13,6 +13,7 @@ from aniso3d.estimate import (
     KProfile,
     PatternPairs,
     _axial_radial,
+    _grid_index,
     conical_k,
     cylindrical_k,
     default_r_grid,
@@ -28,6 +29,8 @@ from aniso3d.geometry import (
     X_AXIS,
     Y_AXIS,
     Z_AXIS,
+    ConeParams,
+    CylinderParams,
     _norms,
     cone_contains,
     cylinder_contains,
@@ -335,6 +338,44 @@ class TestFusedKernel:
                     assert (fused[i, j, d] / rho2).tobytes() == single.tobytes()
 
 
+@st.composite
+def index_grids(draw):
+    """Ascending grids as the kernel builds them, plus uneven ones."""
+    n = draw(st.one_of(st.sampled_from([0, 1, 2]), st.integers(3, 70)))
+    lo = draw(st.one_of(st.just(0.0), st.floats(0.0, 1.0)))
+    top = draw(st.floats(1e-6, 10.0))
+    a = draw(st.floats(1.0, 4.0))
+    shape = draw(st.sampled_from(["plain", "aspect", "slant", "uneven"]))
+    base = np.linspace(lo, lo + top, n)
+    if shape == "plain":
+        return base
+    if shape == "aspect":
+        return a * base
+    if shape == "slant":
+        return base * math.sqrt(a * a + 1.0)
+    cuts = draw(arrays(np.float64, n, elements=st.floats(0.0, 1.0), unique=True))
+    return lo + top * np.sort(cuts)
+
+
+class TestGridIndex:
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(grid=index_grids(),
+           extra=arrays(np.float64, st.integers(0, 20),
+                        elements=st.one_of(st.floats(-20.0, 40.0),
+                                           st.sampled_from([np.inf, -np.inf, np.nan]))))
+    def test_matches_searchsorted(self, grid, extra):
+        # every knot and both of its neighbours, 0, values past the top, and
+        # an empty query on its own
+        top = grid[-1] if grid.size else 1.0
+        x = np.concatenate([grid, np.nextafter(grid, -np.inf), np.nextafter(grid, np.inf),
+                            [0.0, top * 1.5, top + 1.0], extra])
+        for query in (x, x[:0]):
+            expected = np.searchsorted(grid, query, side="left")
+            got = _grid_index(grid, query)
+            assert got.dtype == expected.dtype
+            npt.assert_array_equal(got, expected)
+
+
 class TestEstimatorProperties:
     GRID = np.linspace(0.0, 0.1, 33)
 
@@ -381,3 +422,44 @@ class TestEstimatorProperties:
         for kind in ("conical", "cylindrical"):
             values = k_profile(pattern, u, kind, grid, a).values
             assert values[0] >= 0.0 and np.all(np.diff(values) >= 0.0)
+
+    @settings(max_examples=15, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**32 - 1),
+           shift=arrays(np.int64, 3, elements=st.integers(-2**12, 2**12)),
+           u=DIRECTIONS)
+    def test_translating_pattern_and_window_keeps_k_bits(self, seed, shift, u):
+        # coordinates on a 2^-20 lattice and shifts in steps of 2^-8 are
+        # exact, so every displacement, edge weight and volume is the same
+        pattern = simulate_model(ModelSpec.plcpp(300.0, 100.0, 0.02), unit_cube(), seed)
+        points = np.unique(np.round(pattern.points * 2.0**20) / 2.0**20, axis=0)
+        t = shift / 2.0**8
+        window = unit_cube()
+        moved = PointPattern(points + t, BoxWindow(window.lo + t, window.hi + t))
+        lattice = PointPattern(points, window)
+        for kind in ("conical", "cylindrical"):
+            a = k_profile(lattice, u, kind, self.GRID, 2.0).values
+            b = k_profile(moved, u, kind, self.GRID, 2.0).values
+            assert a.tobytes() == b.tobytes()
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(v=arrays(np.float64, st.tuples(st.integers(1, 12), st.just(3)),
+                    elements=st.floats(-2.0, 2.0)),
+           u=DIRECTIONS, r=st.floats(0.01, 2.0), a=st.floats(1.05, 4.0))
+    def test_reflecting_a_displacement_keeps_membership(self, v, u, r, a):
+        cone = ConeParams(r * math.sqrt(a * a + 1.0), math.atan2(1.0, a))
+        cyl = CylinderParams(r, a * r)
+        npt.assert_array_equal(cone_contains(cone, u, -v), cone_contains(cone, u, v))
+        npt.assert_array_equal(cylinder_contains(cyl, u, -v), cylinder_contains(cyl, u, v))
+
+    @settings(max_examples=10, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**32 - 1), u=DIRECTIONS)
+    def test_point_reflection_keeps_k(self, seed, u):
+        # equal to rounding only: reflection reverses the lexicographic point
+        # order and with it the order in which edge weights are summed
+        lo, hi = np.zeros(3), np.array([1.0, 0.8, 1.25])
+        pattern = simulate_model(ModelSpec.plcpp(300.0, 100.0, 0.02), BoxWindow(lo, hi), seed)
+        reflected = PointPattern(-pattern.points, BoxWindow(-hi, -lo))
+        for kind in ("conical", "cylindrical"):
+            npt.assert_allclose(k_profile(reflected, u, kind, self.GRID, 2.0).values,
+                                k_profile(pattern, u, kind, self.GRID, 2.0).values,
+                                rtol=1e-12, atol=0.0)
