@@ -13,10 +13,12 @@ import argparse
 import os
 import sys
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
-from .estimate import pooled_profile, validity_bound
+from .estimate import ratio_of_sums, replicate_numerators, require_common_window, validity_bound
+from .estimate import pooled_profile  # unused; perfbench/tracecli.py wraps this name
 from .geometry import X_AXIS, Y_AXIS, Z_AXIS
 from .isotest import TestConfig, power_curve_from_patterns
 from .patternio import read_patterns, write_csv, write_pattern
@@ -114,10 +116,14 @@ def _float_list(text, flag) -> list:
 
 
 def _parse_window(text) -> BoxWindow:
-    vals = _float_list(text, "--window")
-    if len(vals) != 6:
-        raise ValueError(f"window needs 6 numbers x0,x1,y0,y1,z0,z1, got {text!r}")
-    return BoxWindow(np.array(vals[0::2]), np.array(vals[1::2]))
+    """Exactly six finite numbers x0,x1,y0,y1,z0,z1, comma or space separated."""
+    try:
+        vals = np.array(str(text).replace(",", " ").split(), dtype=float)
+    except ValueError:
+        vals = np.empty(0)
+    if vals.shape != (6,) or not np.all(np.isfinite(vals)):
+        raise ValueError(f"--window needs 6 numbers x0,x1,y0,y1,z0,z1, got {text!r}")
+    return BoxWindow(vals[0::2], vals[1::2])
 
 
 def _model_from(args, config) -> ModelSpec:
@@ -191,12 +197,10 @@ def cmd_simulate(args, config) -> None:
 
 def _read_input(source) -> list:
     """Patterns from an ``--input`` directory, file, or comma list of files."""
-    return read_patterns(source.split(",") if "," in source else source)
-
-
-def _pool_args(job):
-    patterns, u, kind, grid, a = job
-    return pooled_profile(patterns, u, kind, grid, a)
+    items = source.split(",")
+    if not all(item.strip() for item in items):
+        raise ValueError(f"--input has an empty item, got {source!r}")
+    return read_patterns(items if len(items) > 1 else source)
 
 
 def cmd_estimate(args, config) -> None:
@@ -212,11 +216,14 @@ def cmd_estimate(args, config) -> None:
     if n_grid < 2:
         raise ValueError(f"--grid needs at least 2 grid radii, got {n_grid}")
     threads = _resolve(args, config, "threads")
-    directions = [d.strip() for d in _resolve(args, config, "directions").split(",")]
-    if not directions or any(d not in _AXES for d in directions):
-        raise ValueError("directions must be a comma list drawn from x, y, z")
+    names = _resolve(args, config, "directions")
+    directions = [d.strip() for d in names.split(",")]
+    if any(d not in _AXES for d in directions) or len(set(directions)) < len(directions):
+        raise ValueError(f"--directions must be a comma list of distinct axes "
+                         f"from x, y, z, got {names!r}")
 
     patterns = _read_input(source)
+    require_common_window(patterns, "pooled patterns")
     window = patterns[0].window
     r_max = _resolve(args, config, "r_max")
     if r_max is None:
@@ -226,17 +233,14 @@ def cmd_estimate(args, config) -> None:
     _check_r_max(window, a, r_max, "--r-max")
     grid = np.linspace(0.0, r_max, n_grid)
 
-    jobs = [(patterns, _AXES[d], kind, grid, a) for kind in kinds for d in directions]
-    profiles = parallel_map(_pool_args, jobs, threads)
+    core = partial(replicate_numerators, directions=[_AXES[d] for d in directions],
+                   kinds=kinds, r_grid=grid, aspects=[a])
+    # (kind, direction, radius) pooled over replicates; columns are kind-major
+    pooled = ratio_of_sums(parallel_map(core, patterns, threads))[0]
 
-    header = ["r_cl"]
-    for kind in kinds:
-        prefix = "" if len(kinds) == 1 else f"{kind}_"
-        header += [f"{prefix}K_{d}" for d in directions]
-    rows = [
-        [float(grid[i])] + [float(p.values[i]) for p in profiles]
-        for i in range(len(grid))
-    ]
+    prefixes = [""] if len(kinds) == 1 else [f"{kind}_" for kind in kinds]
+    header = ["r_cl"] + [f"{prefix}K_{d}" for prefix in prefixes for d in directions]
+    rows = np.column_stack([grid, pooled.reshape(-1, n_grid).T]).tolist()
     comments = [
         "aniso3d estimate",
         f"input = {source}",
@@ -262,14 +266,6 @@ def _power_rows(patterns, a_list, r2_list, kinds, level, n_grid, threads, m, see
     row_aspects = [a for a in a_list for _ in r2_list]
     return [[float(a), r2, p_cn, p_cl, m, seed]
             for a, (r2, p_cn, p_cl) in zip(row_aspects, curve)]
-
-
-def cmd_test(args, config) -> None:
-    _run_power_like(args, config, "test")
-
-
-def cmd_power(args, config) -> None:
-    _run_power_like(args, config, "power")
 
 
 def _run_power_like(args, config, name) -> None:
@@ -369,8 +365,8 @@ def _build_parser() -> argparse.ArgumentParser:
 _COMMANDS = {
     "simulate": cmd_simulate,
     "estimate": cmd_estimate,
-    "test": cmd_test,
-    "power": cmd_power,
+    "test": partial(_run_power_like, name="test"),
+    "power": partial(_run_power_like, name="power"),
 }
 
 

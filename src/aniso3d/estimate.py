@@ -263,6 +263,33 @@ def pair_numerators(pairs: PatternPairs, directions, kinds, r_grid, aspects) -> 
     return out
 
 
+def replicate_numerators(pattern: PointPattern, directions, kinds, r_grid, aspects):
+    """One replicate's pair numerators and squared-intensity mass.
+
+    Returns ``(numerators, mass)``: the `pair_numerators` array of shape
+    (aspect, kind, direction, radius) from one pair extraction at
+    `profile_extent` of the largest aspect, and ``n (n - 1) / |W|^2``,
+    which is 0 for fewer than 2 points instead of an error.  Every
+    profile, pool and test statistic reaches the pair layer through this
+    function; ``r_grid`` must be nonempty.
+    """
+    pairs = pattern_pairs(pattern, profile_extent(r_grid[-1], max(aspects)))
+    mass = intensity_sq_hat(pattern) if pattern.n >= 2 else 0.0
+    return pair_numerators(pairs, directions, kinds, r_grid, aspects), mass
+
+
+def ratio_of_sums(replicates) -> np.ndarray:
+    """Pool ``(numerators, mass)`` pairs: both summed in replicate order,
+    then divided once."""
+    numer, denom = 0.0, 0.0
+    for num, mass in replicates:
+        numer = numer + num
+        denom += mass
+    if denom == 0.0:
+        raise ValueError("pooled patterns contain no point pairs")
+    return numer / denom
+
+
 def k_profile(pattern: PointPattern, u, kind: str, r_grid, a: float) -> KProfile:
     """Estimate one K-function over a grid of cylinder radii.
 
@@ -280,9 +307,8 @@ def k_profile(pattern: PointPattern, u, kind: str, r_grid, a: float) -> KProfile
     rho2 = intensity_sq_hat(pattern)
     if r_grid.size == 0:
         return KProfile(kind, u, r_grid, np.empty(0), a)
-    pairs = pattern_pairs(pattern, profile_extent(r_grid[-1], a))
-    values = pair_numerators(pairs, [u], [kind], r_grid, [a])[0, 0, 0] / rho2
-    return KProfile(kind, u, r_grid, values, a)
+    num, _ = replicate_numerators(pattern, [u], [kind], r_grid, [a])
+    return KProfile(kind, u, r_grid, num[0, 0, 0] / rho2, a)
 
 
 def require_common_window(patterns, what: str) -> None:
@@ -303,8 +329,10 @@ def pooled_profile(
 
     The default ratio-of-sums estimate divides the summed edge-weighted
     pair counts by the summed ``rho2_hat`` mass, so replicates with more
-    points carry more weight; ``method="mean-of-ratios"`` instead averages
-    the per-replicate estimates (for sensitivity checks).
+    points carry more weight and replicates with fewer than 2 points add
+    nothing; ``method="mean-of-ratios"`` instead averages the
+    per-replicate estimates (for sensitivity checks), and needs at least
+    2 points in every replicate.
     """
     patterns = list(patterns)
     if not patterns:
@@ -316,23 +344,13 @@ def pooled_profile(
     require_common_window(patterns, "pooled patterns")
     if r_grid.size == 0:
         return KProfile(kind, u, r_grid, np.empty(0), a)
-    extent = profile_extent(r_grid[-1], a)
-    numer = np.zeros(r_grid.size)
-    denom = 0.0
-    ratios = np.zeros(r_grid.size)
-    for p in patterns:
-        pairs = pattern_pairs(p, extent)
-        num = pair_numerators(pairs, [u], [kind], r_grid, [a])[0, 0, 0]
-        if method == "ratio-of-sums":
-            numer += num
-            denom += p.n * (p.n - 1) / p.window.volume ** 2
-        else:
-            ratios += num / intensity_sq_hat(p)
+    replicates = (replicate_numerators(p, [u], [kind], r_grid, [a]) for p in patterns)
     if method == "ratio-of-sums":
-        if denom == 0.0:
-            raise ValueError("pooled patterns contain no point pairs")
-        values = numer / denom
+        values = ratio_of_sums(replicates)[0, 0, 0]
     else:
+        ratios = np.zeros(r_grid.size)
+        for p, (num, _) in zip(patterns, replicates):
+            ratios += num[0, 0, 0] / intensity_sq_hat(p)
         values = ratios / len(patterns)
     return KProfile(kind, u, r_grid, values, a)
 

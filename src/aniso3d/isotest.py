@@ -37,14 +37,9 @@ from functools import partial
 import numpy as np
 
 from ._parallel import parallel_map
-from .estimate import (
-    KINDS,
-    intensity_sq_hat,
-    pair_numerators,
-    pattern_pairs,
-    profile_extent,
-    require_common_window,
-)
+from .estimate import KINDS, replicate_numerators, require_common_window
+from .estimate import pair_numerators  # unused; perfbench/tracecli.py wraps this name
+from .estimate import pattern_pairs  # unused; perfbench/tracecli.py wraps this name
 from .geometry import X_AXIS, Y_AXIS, Z_AXIS
 from .simulate import BoxWindow, ModelSpec, simulate_campaign, unit_cube
 
@@ -193,12 +188,11 @@ def _replicate_statistics(pattern, kinds, aspects, r_grid, r1, r2_grid) -> np.nd
     """Integrated |S_x - S_y|, |S_x - S_z|, |S_y - S_z| of one replicate at
     every bound, shape (aspect, kind, 3, bound).
 
-    The x, y and z profiles of every kind and aspect come from one pair
-    extraction at the largest aspect's extent and one kernel call.
+    The x, y and z profiles of every kind and aspect come from one
+    `replicate_numerators` call.
     """
-    rho2 = intensity_sq_hat(pattern)
-    pairs = pattern_pairs(pattern, profile_extent(r_grid[-1], max(aspects)))
-    profiles = pair_numerators(pairs, _AXES, kinds, r_grid, aspects) / rho2
+    numerators, mass = replicate_numerators(pattern, _AXES, kinds, r_grid, aspects)
+    profiles = numerators / mass
     sx, sy, sz = np.moveaxis(profiles, 2, 0)
     integrate = _integrator(r_grid, np.abs(np.stack([sx - sy, sx - sz, sy - sz], axis=2)))
     return np.stack([integrate(r1, r2) for r2 in r2_grid], axis=-1)

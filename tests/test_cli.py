@@ -1,7 +1,10 @@
 """Tests for pattern file I/O and the command-line interface."""
 
+import importlib
+import importlib.util
 import os
 from functools import partial
+from pathlib import Path
 
 import numpy as np
 import numpy.testing as npt
@@ -10,8 +13,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from aniso3d import simulate
+from aniso3d import estimate, simulate
 from aniso3d.cli import main
+from aniso3d.estimate import pooled_profile
+from aniso3d.geometry import X_AXIS, Y_AXIS, Z_AXIS
 from aniso3d.patternio import read_pattern, read_patterns, write_pattern
 from aniso3d.simulate import BoxWindow, PointPattern, simulate_poisson, unit_cube
 
@@ -247,6 +252,52 @@ class TestEstimateCommand:
         assert code == 1
         assert "window" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("directions", ["x,x", "z,x,z", "x,w", ""])
+    def test_rejects_bad_directions(self, campaign, tmp_path, capsys, directions):
+        out = tmp_path / "x.csv"
+        code = run_cli("estimate", "--input", campaign, "--r-max", "0.1",
+                       f"--directions={directions}", "--out", out)
+        assert code == 1
+        assert (f"error: --directions must be a comma list of distinct axes from x, y, z, "
+                f"got {directions!r}" in capsys.readouterr().err)
+        assert not out.exists()
+
+    def test_rejects_empty_input_item(self, campaign, tmp_path, capsys):
+        files = ",".join(str(campaign / f"pattern_{i:05d}.txt") for i in range(2)) + ","
+        out = tmp_path / "x.csv"
+        code = run_cli("estimate", "--input", files, "--r-max", "0.1", "--out", out)
+        assert code == 1
+        assert f"error: --input has an empty item, got {files!r}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_columns_equal_pooled_profile_bits(self, campaign, tmp_path, threads):
+        write_pattern(campaign / "pattern_lone.txt",
+                      PointPattern([[0.5, 0.5, 0.5]], unit_cube()))
+        out = tmp_path / "k.csv"
+        assert run_cli("estimate", "--input", campaign, "--grid", "24", "--r-max", "0.08",
+                       "--aspect", "2.5", "--directions", "z,x,y",
+                       "--threads", threads, "--out", out) == 0
+        rows = [l for l in out.read_text().splitlines() if not l.startswith("#")]
+        header = rows[0].split(",")
+        data = np.loadtxt(rows[1:], delimiter=",")
+        patterns = read_patterns(campaign)
+        assert patterns[-1].n == 1
+        for kind in ("conical", "cylindrical"):
+            for d, u in (("x", X_AXIS), ("y", Y_AXIS), ("z", Z_AXIS)):
+                pooled = pooled_profile(patterns, u, kind, data[:, 0], 2.5)
+                npt.assert_array_equal(data[:, header.index(f"{kind}_K_{d}")],
+                                       pooled.values)
+
+    def test_one_pair_extraction_per_replicate(self, campaign, tmp_path, monkeypatch):
+        calls = []
+        extract = estimate.pattern_pairs
+        monkeypatch.setattr(estimate, "pattern_pairs",
+                            lambda *args: calls.append(1) or extract(*args))
+        assert run_cli("estimate", "--input", campaign, "--kind", "both", "--grid", "8",
+                       "--r-max", "0.05", "--threads", "1", "--out", tmp_path / "k.csv") == 0
+        assert len(calls) == 4
+
 
 class TestTestAndPowerCommands:
     def test_power_csv_schema(self, tmp_path):
@@ -359,6 +410,24 @@ class TestTestAndPowerCommands:
             tables.append(out.read_text().replace(f"# input = {source}\n", ""))
         assert tables[0] == tables[1]
 
+    @pytest.mark.parametrize("window", ["0:1:6", "0,1,0,1,0", "0,1,0,1,0,1,2",
+                                        "0,inf,0,1,0,1", "0,1,0,1,0,one"])
+    def test_window_takes_six_plain_numbers(self, tmp_path, capsys, window):
+        out = tmp_path / "x.csv"
+        code = run_cli("power", "--model", "poisson", "--rho", "100", "--m", "4",
+                       f"--window={window}", "--r2-grid", "0.05", "--out", out)
+        assert code == 1
+        err = capsys.readouterr().err
+        assert f"error: --window needs 6 numbers x0,x1,y0,y1,z0,z1, got {window!r}" in err
+        assert "lo:hi:n" not in err
+        assert not out.exists()
+
+    def test_window_accepts_spaces(self, tmp_path):
+        out = tmp_path / "c"
+        assert run_cli("simulate", "--model", "poisson", "--rho", "100", "--m", "1",
+                       "--window", "0 2 0 1 0 1", "--out", out) == 0
+        assert read_pattern(out / "pattern_00000.txt").window.sides.tolist() == [2.0, 1.0, 1.0]
+
     def test_missing_r2_grid(self, tmp_path, capsys):
         code = run_cli("power", "--model", "poisson", "--rho", "100", "--m", "4",
                        "--out", tmp_path / "x.csv")
@@ -385,3 +454,15 @@ class TestConfigFile:
         code = run_cli("simulate", "--config", config, "--out", tmp_path / "x")
         assert code == 1
         assert "key = value" in capsys.readouterr().err
+
+
+class TestTraceHooks:
+    def test_every_traced_name_resolves(self):
+        path = Path(__file__).resolve().parents[1] / "perfbench" / "tracecli.py"
+        spec = importlib.util.spec_from_file_location("tracecli", path)
+        tracecli = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(tracecli)
+        assert tracecli._ALL
+        for module_name, attr, _, _ in tracecli._ALL:
+            assert callable(getattr(importlib.import_module(module_name), attr)), (
+                f"{module_name}.{attr}")

@@ -23,6 +23,7 @@ from aniso3d.estimate import (
     pattern_pairs,
     pooled_profile,
     profile_extent,
+    replicate_numerators,
     translation_weight,
 )
 from aniso3d.geometry import (
@@ -242,6 +243,24 @@ class TestPooling:
         with pytest.raises(ValueError, match="at least one"):
             pooled_profile([], Z_AXIS, "conical", [0.05], 2.0)
 
+    def test_sparse_replicates_add_nothing_to_ratio_of_sums(self):
+        pats = [simulate_poisson(300.0, unit_cube(), s) for s in (40, 41)]
+        sparse = [PointPattern(np.empty((0, 3)), unit_cube()),
+                  PointPattern([[0.5, 0.5, 0.5]], unit_cube())]
+        grid = np.linspace(0.0, 0.08, 16)
+        for kind in ("conical", "cylindrical"):
+            dense = pooled_profile(pats, Z_AXIS, kind, grid, 2.0)
+            mixed = pooled_profile([sparse[0], *pats, sparse[1]], Z_AXIS, kind, grid, 2.0)
+            npt.assert_array_equal(mixed.values, dense.values)
+            with pytest.raises(ValueError, match="need at least 2 points"):
+                pooled_profile(pats + sparse[1:], Z_AXIS, kind, grid, 2.0,
+                               method="mean-of-ratios")
+
+    def test_only_sparse_replicates_have_no_pairs(self):
+        lone = PointPattern([[0.5, 0.5, 0.5]], unit_cube())
+        with pytest.raises(ValueError, match="no point pairs"):
+            pooled_profile([lone, lone], Z_AXIS, "conical", [0.05], 2.0)
+
     def test_direction_exchange_under_isotropy(self):
         pats = [simulate_poisson(500.0, unit_cube(), (30, i)) for i in range(150)]
         grid = np.array([0.06])
@@ -279,6 +298,26 @@ class TestPooling:
         kx = pooled_profile(pats, X_AXIS, "cylindrical", grid, 2.0).values
         assert kz[0] > kx[0]
         assert kz[1] < kx[1]
+
+
+class TestReplicateNumerators:
+    def test_one_extraction_serves_every_cell(self):
+        pattern = simulate_poisson(300.0, unit_cube(), 42)
+        grid = np.linspace(0.0, 0.06, 12)
+        aspects = [1.5, 3.0]
+        axes = [X_AXIS, Y_AXIS, Z_AXIS]
+        kinds = ["conical", "cylindrical"]
+        num, mass = replicate_numerators(pattern, axes, kinds, grid, aspects)
+        pairs = pattern_pairs(pattern, profile_extent(grid[-1], 3.0))
+        npt.assert_array_equal(num, pair_numerators(pairs, axes, kinds, grid, aspects))
+        assert mass == intensity_sq_hat(pattern)
+
+    @pytest.mark.parametrize("points", [np.empty((0, 3)), [[0.5, 0.5, 0.5]]])
+    def test_fewer_than_two_points_give_zero_mass(self, points):
+        pattern = PointPattern(points, unit_cube())
+        num, mass = replicate_numerators(pattern, [Z_AXIS], ["conical"], [0.0, 0.05], [2.0])
+        assert mass == 0.0
+        npt.assert_array_equal(num, np.zeros((1, 1, 1, 2)))
 
 
 class TestKProfileType:
