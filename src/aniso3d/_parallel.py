@@ -12,5 +12,7 @@ def parallel_map(fn, items, threads: int = 1) -> list:
     if threads is None or threads <= 1 or len(items) <= 1:
         return [fn(item) for item in items]
     chunk = max(1, len(items) // (4 * threads))
-    with ProcessPoolExecutor(max_workers=threads) as pool:
+    # a forked pool starts all its workers at the first submit, so start
+    # no more than there are items
+    with ProcessPoolExecutor(max_workers=min(threads, len(items))) as pool:
         return list(pool.map(fn, items, chunksize=chunk))

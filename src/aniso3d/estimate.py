@@ -19,7 +19,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .geometry import (
     ConeParams,
@@ -28,6 +27,7 @@ from .geometry import (
     _cylinder_mask,
     _norms,
     as_direction,
+    close_pairs,
     equal_shape_link,
 )
 from .simulate import BoxWindow, PointPattern
@@ -128,13 +128,8 @@ def pattern_pairs(pattern: PointPattern, extent: float) -> PatternPairs:
     pts = pattern.points
     order = np.lexsort((pts[:, 2], pts[:, 1], pts[:, 0]))
     pts = pts[order]
-    if pattern.n < 2:
-        empty = np.empty((0, 3))
-        return PatternPairs(empty, np.empty(0), np.empty(0), pattern.n,
-                            pattern.window, extent)
-    pairs = cKDTree(pts).query_pairs(extent, output_type="ndarray")
-    pairs = pairs[np.argsort(pairs[:, 0].astype(np.int64) * pattern.n + pairs[:, 1])]
-    vec = pts[pairs[:, 1]] - pts[pairs[:, 0]]
+    i, j = close_pairs(pts, extent)
+    vec = pts[j] - pts[i]
     weight = 1.0 / np.prod(pattern.window.sides - np.abs(vec), axis=1)
     return PatternPairs(vec, _norms(vec), weight, pattern.n, pattern.window, extent)
 
@@ -182,7 +177,7 @@ def profile_extent(r_max: float, a: float) -> float:
 
     The cone slant equals the cylinder's corner distance under the
     equal-shape link, so one bound serves both kinds; a sliver of slack
-    keeps boundary pairs on the safe side of the tree query.
+    keeps boundary pairs on the safe side of the pair query.
     """
     if r_max <= 0.0:
         return 0.0

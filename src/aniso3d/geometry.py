@@ -6,6 +6,9 @@ radius ``r_cl``, half height ``h``), both centered at the origin and
 symmetric under point reflection.  Two links make the cone and the
 cylinder comparable: ``equal_shape_link`` inscribes the cone in the
 cylinder, ``equal_volume_link`` matches their volumes.
+
+``close_pairs`` finds the point pairs within a distance, in an open or a
+periodic box; the estimators and the hard-core simulators share it.
 """
 
 import math
@@ -24,6 +27,7 @@ __all__ = [
     "equal_volume_link",
     "equal_shape_link",
     "direction_set",
+    "close_pairs",
     "X_AXIS",
     "Y_AXIS",
     "Z_AXIS",
@@ -259,3 +263,115 @@ def direction_set(n: int) -> np.ndarray:
     phi = golden * k
     out = np.column_stack([rho * np.cos(phi), rho * np.sin(phi), z])
     return out / _norms(out)[:, None]
+
+
+# half of the 8 xy neighbours of a column: each pair of adjacent columns meets once
+_HALF_SHELL = ((1, 0), (-1, 1), (0, 1), (1, 1))
+
+
+def close_pairs(points, r: float, sides=None) -> tuple[np.ndarray, np.ndarray]:
+    """Index arrays ``i < j`` of every pair of points within distance ``r``.
+
+    A pair qualifies when ``(dx*dx + dy*dy) + dz*dz <= r*r`` for its
+    difference ``d = points[j] - points[i]``.  With ``sides`` the box
+    ``[0, sides)`` is periodic, every point must lie in it, and ``d`` is
+    the minimum image ``d - sides * round(d / sides)``.  Pairs come in the
+    ascending order of the key ``i * n + j``.
+
+    Points are binned into xy columns at least ``r`` wide and sorted by
+    column and z.  Each point meets the points after it in its own column
+    and the points of the four half-shell neighbour columns whose z lies
+    within ``r`` of its own (under periodicity, also across the z
+    boundary); one ``searchsorted`` over the (column, z rank) keys finds
+    all those ranges, and the exact rule above filters the candidates.
+    """
+    pts = np.asarray(points, dtype=float)
+    if pts.ndim != 2 or pts.shape[1] != 3:
+        raise ValueError(f"points must be an (n, 3) array, got shape {pts.shape}")
+    r = float(r)
+    if not r >= 0.0:
+        raise ValueError(f"pair distance must be nonnegative, got {r}")
+    n = len(pts)
+    if n < 2:
+        return np.empty(0, np.int64), np.empty(0, np.int64)
+    scale = float(np.abs(pts).max())
+    if sides is None:
+        lo = pts[:, :2].min(axis=0)
+        span = pts[:, :2].max(axis=0) - lo
+    else:
+        sides = np.asarray(sides, dtype=float)
+        if sides.shape != (3,) or not np.all(sides > 0.0):
+            raise ValueError(f"periodic sides must be a positive 3-vector, got {sides}")
+        if not (np.all(pts >= 0.0) and np.all(pts < sides)):
+            raise ValueError("periodic points must lie in [0, sides)")
+        lo, span = np.zeros(2), sides[:2]
+        scale = max(scale, float(sides.max()))
+    # a qualifying pair may differ by a few ulp more than r in one coordinate
+    # (squares round); columns and z-ranges reach that far, the filter uses r
+    reach = r * (1.0 + 1e-9) + 16.0 * float(np.spacing(scale))
+
+    # columns at least ``reach`` wide, at most about n of them; a periodic axis
+    # with fewer than 3 would meet the same neighbour on both sides, so it gets 1
+    ncol = []
+    for k in range(2):
+        c = int(min(math.isqrt(n), span[k] / reach))
+        ncol.append(1 if c < 1 or (sides is not None and c < 3) else c)
+    cxy = [np.minimum(((pts[:, k] - lo[k]) * (ncol[k] / span[k])).astype(np.int64),
+                      ncol[k] - 1) if ncol[k] > 1 else np.zeros(n, np.int64)
+           for k in range(2)]
+    # key (column, rank of z); ties in z take distinct ranks, which still maps
+    # each z-range to one range of ranks
+    zorder = np.argsort(pts[:, 2])
+    zs = pts[zorder, 2]
+    zrank = np.empty(n, np.int64)
+    zrank[zorder] = np.arange(n)
+    key = (cxy[0] * ncol[1] + cxy[1]) * n + zrank
+    order = np.argsort(key)
+    key = key[order]
+    cx, cy, zrank = cxy[0][order], cxy[1][order], zrank[order]
+    xs, ys, zp = (pts[order, k] for k in range(3))
+
+    # rank ranges [a, b) of the z within reach: the direct one and, periodically,
+    # the ones wrapped below and above, clipped so that the three never overlap;
+    # searched for the sorted z, whose needles come in order
+    a = np.searchsorted(zs, zs - reach, side="left")[zrank]
+    b = np.searchsorted(zs, zs + reach, side="right")[zrank]
+    ranks = [(a, b)]
+    if sides is not None:
+        below = np.searchsorted(zs, zs + (reach - sides[2]), side="right")[zrank]
+        above = np.searchsorted(zs, zs - (reach - sides[2]), side="left")[zrank]
+        ranks += [(0, np.minimum(below, a)), (np.maximum(above, b), n)]
+
+    columns = [cx * ncol[1] + cy]
+    for ox, oy in _HALF_SHELL:
+        if (ox and ncol[0] == 1) or (oy and ncol[1] == 1):
+            continue
+        nx, ny = cx + ox, cy + oy
+        if sides is None:
+            valid = (nx >= 0) & (nx < ncol[0]) & (ny < ncol[1])
+            columns.append(np.where(valid, nx * ncol[1] + ny, -1))  # -1: empty range
+        else:
+            columns.append((nx % ncol[0]) * ncol[1] + ny % ncol[1])
+    lo_keys = [c * n + ra for c in columns for ra, _ in ranks]
+    hi_keys = [c * n + rb for c in columns for _, rb in ranks]
+    bounds = np.searchsorted(key, np.concatenate(lo_keys + hi_keys))
+    start, end = np.split(bounds, 2)
+    # own column: only the points after this one, so each pair is met once
+    own = n * len(ranks)
+    start[:own] = np.maximum(start[:own], np.tile(np.arange(1, n + 1), len(ranks)))
+    counts = np.maximum(end - start, 0)
+    p = np.repeat(np.tile(np.arange(n), len(columns) * len(ranks)), counts)
+    q = np.arange(len(p)) - np.repeat(np.cumsum(counts) - counts - start, counts)
+
+    sq = None
+    for k, c in enumerate((xs, ys, zp)):
+        d = c.take(q) - c.take(p)
+        if sides is not None:
+            d -= sides[k] * np.round(d / sides[k])
+        d *= d
+        sq = d if sq is None else np.add(sq, d, out=sq)
+    hit = np.flatnonzero(sq <= r * r)
+    i, j = order.take(p.take(hit)), order.take(q.take(hit))
+    pair_key = np.minimum(i, j) * n + np.maximum(i, j)
+    pair_key.sort()
+    return np.divmod(pair_key, n)

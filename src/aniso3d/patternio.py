@@ -28,13 +28,35 @@ def write_pattern(path, pattern: PointPattern, comments=()) -> None:
         f"{_fmt(w.lo[i])} {_fmt(w.hi[i])}" for i in range(3)
     )
     lines.append(f"window {bounds}")
-    lines.extend(" ".join(_fmt(c) for c in p) for p in pattern.points)
+    lines.extend(f"{x!r} {y!r} {z!r}" for x, y, z in pattern.points.tolist())
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 
 
 def read_pattern(path) -> PointPattern:
-    """Read one pattern file, reporting the line number of any bad content."""
+    """Read one pattern file, reporting the line number of any bad content.
+
+    All point tokens are parsed by one ``np.array(..., dtype=float)``, which
+    reads each one exactly as ``float`` does; only a file that fails this
+    is scanned line by line, to name the offending line.
+    """
+    with open(path) as fh:
+        rows = [f for f in map(str.split, fh) if f and not f[0].startswith("#")]
+    if (rows and rows[0][0] == "window" and len(rows[0]) == 7
+            and all(len(f) == 3 for f in rows[1:])):
+        try:
+            values = np.array(rows[0][1:] + [t for f in rows[1:] for t in f], dtype=float)
+        except ValueError:
+            pass
+        else:
+            if np.isfinite(values).all():
+                window = BoxWindow(values[0:6:2], values[1:6:2])
+                return PointPattern(values[6:].reshape(-1, 3), window)
+    return _read_pattern_lines(path)
+
+
+def _read_pattern_lines(path) -> PointPattern:
+    """Read one pattern file line by line, naming the first bad line."""
     window = None
     points = []
     with open(path) as fh:

@@ -16,9 +16,8 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.spatial import cKDTree
 
-from .geometry import as_direction
+from .geometry import as_direction, close_pairs
 
 __all__ = [
     "BoxWindow",
@@ -280,14 +279,10 @@ def simulate_matern(spec: HardCoreSpec, window: BoxWindow, seed: int) -> PointPa
     marks = rng.random(n)
 
     keep = np.ones(n, dtype=bool)
-    if n > 1:
-        pairs = cKDTree(pts).query_pairs(spec.r, output_type="ndarray")
-        if len(pairs):
-            i, j = pairs[:, 0], pairs[:, 1]
-            # the member of each close pair with the larger mark dies,
-            # comparing against all proposals (dead ones still kill)
-            loser = np.where(marks[i] < marks[j], j, i)
-            keep[loser] = False
+    i, j = close_pairs(pts, spec.r)
+    # the member of each close pair with the larger mark dies,
+    # comparing against all proposals (dead ones still kill)
+    keep[np.where(marks[i] < marks[j], j, i)] = False
     pts = pts[keep]
     return PointPattern(pts[window.contains(pts)], window)
 
@@ -333,7 +328,7 @@ def simulate_packing(
             # unless that bound (with slack far above rounding) reaches it
             if 2.0 * moved.max() >= (1.0 - 1e-9) * reach - d_cur:
                 built, reach = pos, d_cur + skin
-                near_i, near_j = _periodic_pairs(pos, sides, reach)
+                near_i, near_j = close_pairs(pos, reach, sides)
             delta, dist = _separation(pos[near_i], pos[near_j], sides)
             coincident = dist == 0.0
             if np.any(coincident):
@@ -367,18 +362,6 @@ def simulate_packing(
     return PointPattern(window.lo + pos, window)
 
 
-def _periodic_pairs(pos, sides, reach: float):
-    """Index arrays ``i < j`` of the pairs within periodic distance ``reach``.
-
-    Pairs come in the canonical order of the key ``i * n + j``: the order
-    of ``query_pairs`` is implementation-defined, and packing push sums
-    depend on it.
-    """
-    pairs = cKDTree(pos, boxsize=sides).query_pairs(reach, output_type="ndarray")
-    pairs = pairs[np.argsort(pairs[:, 0].astype(np.int64) * len(pos) + pairs[:, 1])]
-    return pairs[:, 0], pairs[:, 1]
-
-
 def _separation(a, b, sides):
     """Minimum-image difference vectors ``b - a`` row by row, and their lengths."""
     delta = b - a
@@ -387,7 +370,7 @@ def _separation(a, b, sides):
 
 
 def _min_periodic_distance(pos, sides, probe: float) -> float:
-    i, j = _periodic_pairs(pos, sides, probe)
+    i, j = close_pairs(pos, probe, sides)
     if len(i) == 0:
         return math.inf
     return float(_separation(pos[i], pos[j], sides)[1].min())

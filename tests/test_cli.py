@@ -3,6 +3,8 @@
 import importlib
 import importlib.util
 import os
+import subprocess
+import sys
 from functools import partial
 from pathlib import Path
 
@@ -13,7 +15,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from aniso3d import estimate, simulate
+import aniso3d
+from aniso3d import _parallel, estimate, simulate
 from aniso3d.cli import main
 from aniso3d.estimate import pooled_profile
 from aniso3d.geometry import X_AXIS, Y_AXIS, Z_AXIS
@@ -49,6 +52,16 @@ class TestPatternFiles:
         assert back.points.tobytes() == pattern.points.tobytes()
         assert back.window.lo.tobytes() == pattern.window.lo.tobytes()
         assert back.window.hi.tobytes() == pattern.window.hi.tobytes()
+
+    def test_points_parse_exactly_as_float(self, tmp_path):
+        tokens = ["5e-324", "-2.2250738585072014e-308", "1e-310", "1e300", "-1e300",
+                  "0.1", "-0.0", "0.30000000000000004", "1E5", ".5", "+3.", "123456789.987654321"]
+        rows = [tokens[k:k + 3] for k in range(0, len(tokens), 3)]
+        path = tmp_path / "p.txt"
+        path.write_text("window -1e301 1e301 -1e301 1e301 -1e301 1e301\n"
+                        + "".join(" ".join(row) + "\n" for row in rows))
+        want = np.array([[float(t) for t in row] for row in rows])
+        assert read_pattern(path).points.tobytes() == want.tobytes()
 
     def test_missing_window(self, tmp_path):
         path = tmp_path / "bad.txt"
@@ -87,6 +100,41 @@ class TestPatternFiles:
         pats = read_patterns(tmp_path)
         assert len(pats) == 2
         assert pats[0].points[0, 2] == pytest.approx(0.1)
+
+
+class TestParallelMap:
+    def test_starts_at_most_one_worker_per_item(self, monkeypatch):
+        started = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items, chunksize):
+                started.append(chunksize)
+                return map(fn, items)
+
+        monkeypatch.setattr(_parallel, "ProcessPoolExecutor", RecordingPool)
+        assert _parallel.parallel_map(abs, [-1, -2, -3, -4], threads=64) == [1, 2, 3, 4]
+        assert _parallel.parallel_map(abs, range(-100, 0), threads=3) == list(range(100, 0, -1))
+        # (workers, chunk): min(threads, items), and items // (4 * threads)
+        assert started == [4, 1, 3, 8]
+
+
+def test_cli_import_loads_no_scipy():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(aniso3d.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = ("import sys, aniso3d.cli; "
+            "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))")
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=60, check=True)
+    assert done.stdout.strip() == "[]"
 
 
 def run_cli(*argv):

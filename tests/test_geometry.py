@@ -5,11 +5,17 @@ import math
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+from scipy.spatial import cKDTree
 
+from aniso3d.estimate import profile_extent
 from aniso3d.geometry import (
     ConeParams,
     CylinderParams,
     Z_AXIS,
+    close_pairs,
     cone_contains,
     cone_volume,
     cylinder_contains,
@@ -17,6 +23,15 @@ from aniso3d.geometry import (
     direction_set,
     equal_shape_link,
     equal_volume_link,
+)
+from aniso3d.simulate import (
+    HardCoreSpec,
+    ModelSpec,
+    matern_proposal_intensity,
+    replicate_rng,
+    simulate_model,
+    simulate_packing,
+    unit_cube,
 )
 
 THETA_A2 = 0.4636476  # half apex angle matching aspect ratio 2
@@ -271,3 +286,115 @@ class TestDirectionSet:
     def test_rejects_zero(self):
         with pytest.raises(ValueError):
             direction_set(0)
+
+
+def brute_pairs(points, r, sides=None):
+    """O(n^2) oracle for `close_pairs`: its documented rule, pair by pair."""
+    i, j = np.triu_indices(len(points), 1)
+    d = points[j] - points[i]
+    if sides is not None:
+        d -= sides * np.round(d / sides)
+    sq = (d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1]) + d[:, 2] * d[:, 2]
+    hit = sq <= r * r
+    return i[hit], j[hit]
+
+
+def tree_pairs(points, r, sides=None):
+    """cKDTree's pair query in the canonical ``i * n + j`` order."""
+    pairs = cKDTree(points, boxsize=sides).query_pairs(r, output_type="ndarray")
+    return tuple(pairs[np.argsort(pairs[:, 0].astype(np.int64) * len(points) + pairs[:, 1])].T)
+
+
+def assert_same_pairs(got, want):
+    assert len(got) == len(want) == 2
+    for g, w in zip(got, want):
+        npt.assert_array_equal(g, w)
+
+
+@st.composite
+def pair_cases(draw):
+    """Small open or periodic point sets with ties, coincident points, flat
+    axes and points on the periodic boundary, and radii from 0 to past a side."""
+    periodic = draw(st.booleans())
+    sides = np.array(draw(st.lists(st.sampled_from([0.5, 1.0, 3.0]), min_size=3, max_size=3)))
+    n = draw(st.integers(0, 40))
+    grid = draw(st.sampled_from([0, 2, 5, 8]))
+    if grid:  # lattice coordinates: coincident points, ties in z, ties at r
+        pts = draw(arrays(np.int64, (n, 3), elements=st.integers(0, grid - 1))) * sides / grid
+    else:
+        pts = draw(arrays(np.float64, (n, 3), elements=st.floats(0.0, 1.0, exclude_max=True)))
+        pts = np.minimum(pts * sides, np.nextafter(sides, 0.0))
+    flat = draw(st.sampled_from([None, 0, 1, 2]))
+    if flat is not None and n:
+        pts[:, flat] = pts[0, flat]
+    # points on the upper periodic boundary, just below the side
+    edge = draw(arrays(np.bool_, (n, 3)))
+    pts = np.where(edge, np.nextafter(sides, 0.0), pts)
+    if not periodic:
+        pts = pts + draw(st.sampled_from([0.0, -1.25, 1e3]))
+    r = draw(st.one_of(
+        st.just(0.0),
+        st.floats(0.0, 0.6 * sides.min()),
+        st.sampled_from([sides.min() / 8, sides.min() / 5, sides.min() / 2]),
+        st.floats(sides.min(), 2.0 * sides.max()),
+    ))
+    return pts, r, sides if periodic else None
+
+
+class TestClosePairs:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(pair_cases())
+    def test_matches_brute_force(self, case):
+        pts, r, sides = case
+        assert_same_pairs(close_pairs(pts, r, sides), brute_pairs(pts, r, sides))
+
+    def test_pair_whose_difference_rounds_down_to_r(self):
+        # the difference rounds (to even) onto r although the points lie
+        # farther apart, so a search bounded by z + r alone would miss it
+        pts = np.array([[0.0, 0.0, 2.0**-53], [0.0, 0.0, 1.0 + 2.0**-52]])
+        want = (np.array([0]), np.array([1]))
+        assert_same_pairs(brute_pairs(pts, 1.0), want)
+        assert_same_pairs(close_pairs(pts, 1.0), want)
+
+    def test_fewer_than_two_points(self):
+        for pts in (np.empty((0, 3)), np.array([[0.2, 0.3, 0.4]])):
+            for sides in (None, np.ones(3)):
+                i, j = close_pairs(pts, 0.5, sides)
+                assert i.size == j.size == 0 and i.dtype == j.dtype == np.int64
+
+    def test_rejects_bad_input(self):
+        pts = np.array([[0.1, 0.2, 0.3], [0.4, 0.5, 1.0]])
+        with pytest.raises(ValueError, match="nonnegative"):
+            close_pairs(pts, -0.1)
+        with pytest.raises(ValueError, match=r"\[0, sides\)"):
+            close_pairs(pts, 0.1, np.ones(3))
+        with pytest.raises(ValueError, match="positive 3-vector"):
+            close_pairs(pts, 0.1, np.array([1.0, 0.0, 1.0]))
+
+    def test_workload_patterns_match_tree_query(self):
+        """Pair sets and order equal to cKDTree's on the patterns the
+        estimators, Matérn thinning and the packer query."""
+        window = unit_cube()
+        cases = []
+        for seed in range(3):
+            plcpp = simulate_model(ModelSpec.plcpp(500.0, 200.0, 0.001), window, (20161, seed))
+            matern = simulate_model(ModelSpec.matern(500.0, 0.05).compressed(0.7), window,
+                                    (20161, seed))
+            for pattern, a in ((plcpp, 3.0), (matern, 2.0)):
+                pts = pattern.points[np.lexsort(pattern.points.T[::-1])]
+                cases.append((pts, profile_extent(0.1, a), None))
+            rng = replicate_rng((20161, seed))
+            big = window.dilated(0.1)
+            n = rng.poisson(matern_proposal_intensity(500.0, 0.05) * big.volume)
+            cases.append((big.lo + rng.random((n, 3)) * big.sides, 0.05, None))
+            pos = simulate_packing(HardCoreSpec(500.0, 0.05, "packing"), window,
+                                   (20161, seed)).points
+            start = replicate_rng((20161, seed)).random((500, 3))
+            for reach in (0.08 * (1.0 + 1e-6) + 0.03, 0.1, 0.13):
+                cases += [(pos, reach, window.sides), (start, reach, window.sides)]
+        found = 0
+        for pts, r, sides in cases:
+            got = close_pairs(pts, r, sides)
+            assert_same_pairs(got, tree_pairs(pts, r, sides))
+            found += len(got[0])
+        assert found > 50_000
