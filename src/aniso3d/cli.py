@@ -10,6 +10,7 @@ with a diagnostic on stderr otherwise.
 """
 
 import argparse
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -17,7 +18,8 @@ from functools import partial
 
 import numpy as np
 
-from .estimate import ratio_of_sums, replicate_numerators, require_common_window, validity_bound
+from .estimate import (default_r_grid, profile_extent, ratio_of_sums, replicate_numerators,
+                       require_common_window)
 from .estimate import pooled_profile  # unused; perfbench/tracecli.py wraps this name
 from .geometry import X_AXIS, Y_AXIS, Z_AXIS
 from .isotest import TestConfig, power_curve_from_patterns
@@ -158,12 +160,19 @@ def _kinds(kind: str) -> tuple:
 
 
 def _check_r_max(window, a, r_max, what):
-    bound = validity_bound(window, a)
-    if r_max >= bound:
+    """Refuse a radius whose search extent reaches the smallest window side.
+
+    This is the pair layer's own rule.  The largest admissible radius is
+    printed rounded down to 6 digits, so every smaller value passes.
+    """
+    side = float(np.min(window.sides))
+    if profile_extent(r_max, a) >= side:
+        bound = side / profile_extent(1.0, a)  # the extent is linear in r_max
+        unit = 10.0 ** (math.floor(math.log10(bound)) - 5)
         raise ValueError(
             f"{what} {r_max:.6g} is out of range for this window: the derived "
             f"element extent must stay below the smallest side, so choose "
-            f"{what} < {bound:.6g}"
+            f"{what} < {math.floor(bound / unit) * unit:.6g}"
         )
 
 
@@ -227,11 +236,13 @@ def cmd_estimate(args, config) -> None:
     window = patterns[0].window
     r_max = _resolve(args, config, "r_max")
     if r_max is None:
-        r_max = 0.45 * validity_bound(window, a)
-    if not r_max > 0.0:
-        raise ValueError(f"--r-max must be positive, got {r_max!r}")
-    _check_r_max(window, a, r_max, "--r-max")
-    grid = np.linspace(0.0, r_max, n_grid)
+        grid = default_r_grid(window, a, n_grid)
+    else:
+        if not r_max > 0.0:
+            raise ValueError(f"--r-max must be positive, got {r_max!r}")
+        _check_r_max(window, a, r_max, "--r-max")
+        grid = np.linspace(0.0, r_max, n_grid)
+    r_max = float(grid[-1])  # linspace writes its endpoint exactly
 
     core = partial(replicate_numerators, directions=[_AXES[d] for d in directions],
                    kinds=kinds, r_grid=grid, aspects=[a])
@@ -316,11 +327,11 @@ def _build_parser() -> argparse.ArgumentParser:
     def add_common(p):
         p.add_argument("--config", help="key = value file of flag defaults")
         p.add_argument("--out", help="output path (directory or CSV file)")
-        p.add_argument("--seed", help="campaign seed")
         p.add_argument("--threads", help="worker processes (results do not depend on it)")
-        p.add_argument("--window", help="x0,x1,y0,y1,z0,z1 observation window")
 
     def add_model(p):
+        p.add_argument("--seed", help="campaign seed")
+        p.add_argument("--window", help="x0,x1,y0,y1,z0,z1 observation window")
         p.add_argument("--model", choices=["poisson", "plcpp", "matern", "packing"])
         p.add_argument("--rho", help="target intensity")
         p.add_argument("--rho-l", dest="rho_l", help="line intensity (plcpp)")

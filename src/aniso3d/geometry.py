@@ -186,33 +186,12 @@ def equal_volume_link(cyl: CylinderParams, h_cn: float) -> ConeParams:
     """
     if not h_cn > 0.0:
         raise ValueError(f"cone half height must be positive, got {h_cn}")
-    target = 1.5 * cyl.r_cl * cyl.r_cl * cyl.h
-
-    def f(r):
-        return r * r * (r - h_cn) - target
-
-    lo = h_cn
-    hi = h_cn + target ** (1.0 / 3.0) + 1.0  # (r - h_cn)^3 <= r^2 (r - h_cn)
-    if not (f(lo) < 0.0 < f(hi)):
-        raise ValueError(
-            f"no slant height > {h_cn} matches the cylinder volume "
-            f"{cylinder_volume(cyl):.6g}"
-        )
-    # bracketing bisection first: immune to bad starting slopes
-    while hi - lo > 1e-12 * max(1.0, h_cn):
-        mid = 0.5 * (lo + hi)
-        if mid in (lo, hi):
-            break
-        if f(mid) < 0.0:
-            lo = mid
-        else:
-            hi = mid
-    r_cn = 0.5 * (lo + hi)
-    # two Newton steps push the volume mismatch to rounding level
-    for _ in range(2):
-        slope = 3.0 * r_cn * r_cn - 2.0 * r_cn * h_cn
-        if slope > 0.0:
-            r_cn -= f(r_cn) / slope
+    # Cardano's real root of r^2 (r - h_cn) = t, with c = h_cn^3 / 27: every
+    # term is positive, so nothing cancels
+    t = 1.5 * cyl.r_cl * cyl.r_cl * cyl.h
+    c = h_cn * h_cn * h_cn / 27.0
+    u = float(np.cbrt(c + 0.5 * t + math.sqrt(0.5 * t * (2.0 * c + 0.5 * t))))
+    r_cn = h_cn / 3.0 + u + h_cn * h_cn / (9.0 * u)
     if not r_cn > h_cn:
         raise ValueError(f"no slant height > {h_cn} matches the cylinder volume")
     return ConeParams(r_cn=r_cn, theta=math.acos(h_cn / r_cn))

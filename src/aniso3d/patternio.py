@@ -6,7 +6,6 @@ following line holds one ``x y z`` point.  Floats are written with
 round-trip precision, so write-then-read reproduces coordinates exactly.
 """
 
-import math
 import os
 
 import numpy as np
@@ -36,61 +35,59 @@ def write_pattern(path, pattern: PointPattern, comments=()) -> None:
 def read_pattern(path) -> PointPattern:
     """Read one pattern file, reporting the line number of any bad content.
 
-    All point tokens are parsed by one ``np.array(..., dtype=float)``, which
-    reads each one exactly as ``float`` does; only a file that fails this
-    is scanned line by line, to name the offending line.
+    The file is read once, and all its numbers are parsed by one
+    ``np.array(..., dtype=float)``, which reads each token exactly as
+    ``float`` does.  Only when the layout, the parse or the finiteness
+    check fails are the lines walked, to name the first bad one.
     """
     with open(path) as fh:
-        rows = [f for f in map(str.split, fh) if f and not f[0].startswith("#")]
+        lines = fh.readlines()
+    rows = [f for f in map(str.split, lines) if f and not f[0].startswith("#")]
+    values = None
     if (rows and rows[0][0] == "window" and len(rows[0]) == 7
             and all(len(f) == 3 for f in rows[1:])):
         try:
             values = np.array(rows[0][1:] + [t for f in rows[1:] for t in f], dtype=float)
         except ValueError:
             pass
-        else:
-            if np.isfinite(values).all():
-                window = BoxWindow(values[0:6:2], values[1:6:2])
-                return PointPattern(values[6:].reshape(-1, 3), window)
-    return _read_pattern_lines(path)
+    if values is None or not np.isfinite(values).all():
+        _raise_first_bad_line(path, lines)
+    window = BoxWindow(values[0:6:2], values[1:6:2])
+    return PointPattern(values[6:].reshape(-1, 3), window)
 
 
-def _read_pattern_lines(path) -> PointPattern:
-    """Read one pattern file line by line, naming the first bad line."""
-    window = None
-    points = []
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            fields = line.split()
-            if window is None:
-                if fields[0] != "window" or len(fields) != 7:
-                    raise ValueError(
-                        f"{path}:{lineno}: expected 'window x_lo x_hi y_lo y_hi "
-                        f"z_lo z_hi', got {line!r}"
-                    )
-                try:
-                    vals = [float(v) for v in fields[1:]]
-                except ValueError:
-                    raise ValueError(f"{path}:{lineno}: malformed window bounds {line!r}")
-                if not all(map(math.isfinite, vals)):
-                    raise ValueError(f"{path}:{lineno}: non-finite window bounds {line!r}")
-                window = BoxWindow(np.array(vals[0::2]), np.array(vals[1::2]))
-                continue
+def _raise_first_bad_line(path, lines):
+    """Raise the error of the first bad line of a pattern file, in file order.
+
+    Each line is checked as ``read_pattern`` checks the whole file, with the
+    same parser, so the walk always finds the line that made it fail.
+    """
+    seen_window = False
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        fields = line.split()
+        if seen_window:
             if len(fields) != 3:
                 raise ValueError(f"{path}:{lineno}: expected 'x y z', got {line!r}")
-            try:
-                point = [float(v) for v in fields]
-            except ValueError:
-                raise ValueError(f"{path}:{lineno}: malformed coordinates {line!r}")
-            if not all(map(math.isfinite, point)):
-                raise ValueError(f"{path}:{lineno}: non-finite coordinates {line!r}")
-            points.append(point)
-    if window is None:
-        raise ValueError(f"{path}: missing window line")
-    return PointPattern(np.array(points) if points else np.empty((0, 3)), window)
+            tokens, what = fields, "coordinates"
+        elif fields[0] != "window" or len(fields) != 7:
+            raise ValueError(
+                f"{path}:{lineno}: expected 'window x_lo x_hi y_lo y_hi "
+                f"z_lo z_hi', got {line!r}"
+            )
+        else:
+            tokens, what, seen_window = fields[1:], "window bounds", True
+        try:
+            values = np.array(tokens, dtype=float)
+        except ValueError:
+            raise ValueError(f"{path}:{lineno}: malformed {what} {line!r}") from None
+        if not np.isfinite(values).all():
+            raise ValueError(f"{path}:{lineno}: non-finite {what} {line!r}")
+        if what == "window bounds":  # an empty window is reported before later lines
+            BoxWindow(values[0::2], values[1::2])
+    raise ValueError(f"{path}: missing window line")
 
 
 def read_patterns(source) -> list:

@@ -92,7 +92,10 @@ class PointPattern:
             raise ValueError("point coordinates must be finite (no nan or inf)")
         if pts.shape[0] and not np.all(self.window.contains(pts)):
             raise ValueError("all points must lie inside the closed window")
-        if pts.shape[0] and np.unique(pts, axis=0).shape[0] != pts.shape[0]:
+        # sorted rows put equal points next to each other; np.unique(axis=0)
+        # would say the same, but it imports numpy.ma
+        rows = pts[np.lexsort(pts.T)]
+        if (rows[1:] == rows[:-1]).all(axis=1).any():
             raise ValueError("point pattern must be simple (no duplicate points)")
         object.__setattr__(self, "points", pts)
 

@@ -91,6 +91,86 @@ class TestPatternFiles:
         with pytest.raises(ValueError, match="bad.txt:1: non-finite window"):
             read_pattern(path)
 
+    @pytest.mark.parametrize("mend, message", [
+        ((), "bad.txt:3: malformed coordinates '0.1 oops 0.3'"),
+        ((3,), "bad.txt:5: expected 'x y z', got '0.4 0.5'"),
+        ((3, 5), "bad.txt:6: non-finite coordinates '0.6 inf 0.7'"),
+    ])
+    def test_first_bad_line_in_file_order(self, tmp_path, mend, message):
+        lines = ["window 0 1 0 1 0 1", "0.1 0.2 0.3", "0.1 oops 0.3", "# note",
+                 "0.4 0.5", "0.6 inf 0.7", "0.8 0.9"]
+        path = tmp_path / "bad.txt"
+        path.write_text("".join(f"0.{k} 0.5 0.5\n" if k in mend else l + "\n"
+                                for k, l in enumerate(lines, 1)))
+        with pytest.raises(ValueError) as info:
+            read_pattern(path)
+        assert str(info.value) == f"{tmp_path / message}"
+
+    @pytest.mark.parametrize("window, message", [
+        ("windw 0 1 0 1 0 1", "expected 'window x_lo x_hi y_lo y_hi z_lo z_hi', "
+                              "got 'windw 0 1 0 1 0 1'"),
+        ("window 0 1 0 1 0", "expected 'window x_lo x_hi y_lo y_hi z_lo z_hi', "
+                             "got 'window 0 1 0 1 0'"),
+        ("window 0 1 0 x 0 1", "malformed window bounds 'window 0 1 0 x 0 1'"),
+        ("window 0 1 nan 1 0 1", "non-finite window bounds 'window 0 1 nan 1 0 1'"),
+    ])
+    def test_window_line_errors(self, tmp_path, window, message):
+        path = tmp_path / "bad.txt"
+        path.write_text(f"# header\n\n{window}\n0.1 oops 0.3\n")
+        with pytest.raises(ValueError) as info:
+            read_pattern(path)
+        assert str(info.value) == f"{path}:3: {message}"
+
+    def test_empty_window_reported_before_later_lines(self, tmp_path):
+        path = tmp_path / "bad.txt"
+        path.write_text("window 0 1 1 0 0 1\n0.1 oops 0.3\n")
+        with pytest.raises(ValueError, match="window must have positive extent"):
+            read_pattern(path)
+
+    def test_only_comments_is_missing_window(self, tmp_path):
+        path = tmp_path / "bad.txt"
+        path.write_text("# a comment\n\n   # another\n")
+        with pytest.raises(ValueError) as info:
+            read_pattern(path)
+        assert str(info.value) == f"{path}: missing window line"
+
+    @pytest.mark.parametrize("body", ["0.1 0.2 0.3\n", "0.1 0.2 oops\n", "0.1 0.2\n"])
+    def test_opens_each_file_once(self, tmp_path, monkeypatch, body):
+        path = tmp_path / "p.txt"
+        path.write_text("window 0 1 0 1 0 1\n" + body)
+        opened = []
+        real_open = open
+
+        def counting_open(*args, **kwargs):
+            opened.append(args)
+            return real_open(*args, **kwargs)
+
+        monkeypatch.setattr("builtins.open", counting_open)
+        try:
+            read_pattern(path)
+        except ValueError:
+            pass
+        assert len(opened) == 1
+
+    @settings(max_examples=2000, deadline=None, derandomize=True)
+    @given(st.one_of(
+        st.text(max_size=12),
+        st.text(alphabet="0123456789+-.eE_xinfatyINFATY", max_size=14),
+        st.floats().map(repr),
+        st.sampled_from(["1_0", "1__0", "_1", "\u0661", "\uff11", "infinity", "-Infinity",
+                         "nan", "-nan", "1e", "0x10", "1e400", "-1e-400"]),
+    ))
+    def test_numpy_parses_a_token_exactly_when_float_does(self, token):
+        # read_pattern parses with np.array and promises float's reading:
+        # the same tokens accepted, to the same bits
+        try:
+            want = np.float64(float(token))
+        except ValueError:
+            with pytest.raises(ValueError):
+                np.array([token], dtype=float)
+        else:
+            assert np.array([token], dtype=float).tobytes() == want.tobytes()
+
     def test_read_directory_sorted(self, tmp_path):
         for i in (1, 0):
             write_pattern(
@@ -259,6 +339,38 @@ class TestEstimateCommand:
         assert code == 1
         assert "out of range" in capsys.readouterr().err
 
+    def test_refuses_sliver_below_validity_bound(self, campaign, tmp_path, capsys):
+        # below validity_bound, but the search extent reaches the side
+        sliver = estimate.validity_bound(unit_cube(), 2.0) * (1.0 - 1e-12)
+        out = tmp_path / "x.csv"
+        code = run_cli("estimate", "--input", campaign, "--aspect", "2",
+                       "--r-max", repr(sliver), "--grid", "8", "--out", out)
+        err = capsys.readouterr().err
+        assert code == 1 and not out.exists()
+        assert "error: --r-max 0.447214 is out of range" in err
+        shown = float(err.rsplit("--r-max < ", 1)[1])
+        assert estimate.profile_extent(shown, 2.0) < 1.0
+        assert run_cli("estimate", "--input", campaign, "--aspect", "2",
+                       "--r-max", repr(shown), "--grid", "8", "--out", out) == 0
+
+    def test_default_grid_is_default_r_grid(self, campaign, tmp_path):
+        out = tmp_path / "k.csv"
+        assert run_cli("estimate", "--input", campaign, "--aspect", "3",
+                       "--grid", "16", "--out", out) == 0
+        want = estimate.default_r_grid(unit_cube(), 3.0, 16)
+        lines = out.read_text().splitlines()
+        assert f"# r_max = {float(want[-1])!r}" in lines
+        data = np.loadtxt([l for l in lines if not l.startswith("#")][1:], delimiter=",")
+        assert data[:, 0].tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("flag, value", [("--seed", "5"), ("--window", "0,2,0,2,0,2")])
+    def test_rejects_options_it_does_not_read(self, campaign, tmp_path, capsys, flag, value):
+        with pytest.raises(SystemExit) as info:
+            run_cli("estimate", "--input", campaign, "--r-max", "0.1", flag, value,
+                    "--out", tmp_path / "x.csv")
+        assert info.value.code == 2
+        assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
+
     @pytest.mark.parametrize("grid", ["0", "1"])
     def test_rejects_grid_below_two(self, campaign, tmp_path, capsys, grid):
         out = tmp_path / "x.csv"
@@ -375,6 +487,19 @@ class TestTestAndPowerCommands:
         assert rows[0] == "a,r2,power_conical,power_cylindrical,m,seed"
         a, r2, p_cn, p_cl, m, seed = rows[1].split(",")
         assert m == "6" and float(p_cl) <= 1.0 and p_cn == "nan"
+
+    def test_test_refuses_sliver_below_validity_bound(self, tmp_path, capsys):
+        pats = tmp_path / "pats"
+        run_cli("simulate", "--model", "poisson", "--rho", "100", "--m", "2",
+                "--seed", "8", "--out", pats)
+        sliver = estimate.validity_bound(unit_cube(), 2.0) * (1.0 - 1e-12)
+        out = tmp_path / "test.csv"
+        code = run_cli("test", "--input", pats, "--aspect", "2",
+                       "--r2-grid", f"0.05,{sliver!r}", "--out", out)
+        assert code == 1 and not out.exists()
+        err = capsys.readouterr().err
+        assert "error: --r2-grid entry 0.447214 is out of range" in err
+        assert "choose --r2-grid entry < 0.447213" in err
 
     def test_aspect_sweep_rows(self, tmp_path):
         out = tmp_path / "sweep.csv"

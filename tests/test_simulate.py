@@ -1,6 +1,9 @@
 """Tests for the point process simulators and the compression map."""
 
 import math
+import os
+import subprocess
+import sys
 from functools import partial
 
 import numpy as np
@@ -117,6 +120,29 @@ class TestWindowAndPattern:
 
     def test_empty_pattern_allowed(self):
         assert PointPattern(np.empty((0, 3)), unit_cube()).n == 0
+
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(st.lists(st.tuples(*[st.sampled_from([0.0, -0.0, 0.5, 1.0, 2.0, -1.0])] * 3),
+                    min_size=1, max_size=8))
+    def test_simplicity_agrees_with_unique(self, rows):
+        # np.unique(axis=0) is the oracle; -0.0 and 0.0 are the same point
+        points = np.array(rows)
+        simple = np.unique(points, axis=0).shape[0] == len(rows)
+        window = BoxWindow(np.full(3, -1.0), np.full(3, 2.0))
+        if simple:
+            assert PointPattern(points, window).n == len(rows)
+        else:
+            with pytest.raises(ValueError, match="simple"):
+                PointPattern(points, window)
+
+    def test_building_a_pattern_loads_no_numpy_ma(self):
+        src = os.path.dirname(os.path.dirname(os.path.abspath(simulate.__file__)))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        code = ("import sys; from aniso3d.simulate import simulate_poisson, unit_cube; "
+                "simulate_poisson(500.0, unit_cube(), 3); print('numpy.ma' in sys.modules)")
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, timeout=60, check=True)
+        assert done.stdout.strip() == "False"
 
 
 class TestPoisson:
