@@ -2,19 +2,22 @@
 
 Four subcommands cover the pipeline: ``simulate`` writes replicated
 pattern files plus a manifest, ``estimate`` pools directional K-profiles
-into a CSV, ``test`` runs the isotropy test on existing patterns, and
-``power`` sweeps test power over integration bounds for a simulated
-campaign.  A ``--config`` file of ``key = value`` lines supplies
-defaults; explicit flags always win.  Exit code is 0 on success and 1
-with a diagnostic on stderr otherwise.
+into a CSV, and ``test`` and ``power``, one command under two names,
+sweep isotropy-test power over r2 for ``--input`` patterns or a
+simulated campaign.  ``_OPTIONS`` declares each option once: its
+parse-and-check function, default, commands and help.  A value comes
+from the flag, else a ``--config`` file of ``key = value`` lines (a
+campaign's manifest is one), else the default; a bad one is refused
+naming the flag.  Exit code is 0 on success, 1 with a diagnostic on
+stderr otherwise, and 2 for an unknown flag.
 """
 
 import argparse
 import math
 import os
 import sys
-from dataclasses import dataclass
 from functools import partial
+from typing import NamedTuple
 
 import numpy as np
 
@@ -29,81 +32,35 @@ from ._parallel import parallel_map
 
 _AXES = {"x": X_AXIS, "y": Y_AXIS, "z": Z_AXIS}
 
-_DEFAULTS = {
-    "window": "0,1,0,1,0,1",
-    "seed": 0,
-    "kind": "both",
-    "aspect": "2",
-    "grid": 512,
-    "level": 0.05,
-    "directions": "x,y,z",
-    "threads": os.cpu_count() or 1,
-}
 
-_CONVERT = {
-    "model": str, "rho": float, "rho_l": float, "alpha": float, "sigma": float,
-    "hardcore_r": float, "compress_c": float, "m": int, "seed": int,
-    "kind": str, "aspect": str, "r_max": float, "grid": int, "r2_grid": str,
-    "level": float, "out": str, "threads": int, "input": str, "window": str,
-    "directions": str,
-}
+def _checked(parse, ok=None, rule=None):
+    """``parse``, then refuse a value that fails ``ok`` by stating ``rule``,
+    echoing a number as parsed and a list as given."""
+    def check(text):
+        try:
+            value = parse(text)
+        except ValueError:
+            if parse not in (int, float):
+                raise
+            what = "a whole number" if parse is int else "a number"
+            raise ValueError(f"expects {what}, got {text!r}") from None
+        if ok is not None and not ok(value):
+            raise ValueError(f"{rule}, got {text if isinstance(value, list) else value!r}")
+        return value
+    return check
 
 
-@dataclass(frozen=True)
-class CampaignManifest:
-    """Everything needed to reproduce one simulated campaign on disk."""
-
-    model: ModelSpec
-    m: int
-    seed: int
-    out_dir: str
-    window: BoxWindow
-
-    def lines(self) -> list:
-        rows = ["# aniso3d simulate manifest"]
-        for key, value in self.model.describe().items():
-            rows.append(f"{key} = {value!r}" if isinstance(value, float) else f"{key} = {value}")
-        rows.append(f"m = {self.m}")
-        rows.append(f"seed = {self.seed}")
-        bounds = " ".join(
-            f"{self.window.lo[i]!r} {self.window.hi[i]!r}" for i in range(3)
-        )
-        rows.append(f"window = {bounds}")
-        return rows
+def _one_of(choices: dict):
+    """Map one of the ``choices`` keys to its value."""
+    def parse(text):
+        if text not in choices:
+            raise ValueError(f"must be one of {', '.join(choices)}, got {text!r}")
+        return choices[text]
+    return parse
 
 
-def load_config(path) -> dict:
-    """Flat ``key = value`` config; keys mirror the CLI flag names."""
-    out = {}
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ValueError(f"{path}:{lineno}: expected 'key = value', got {line!r}")
-            key, value = line.split("=", 1)
-            out[key.strip().replace("-", "_")] = value.strip()
-    return out
-
-
-def _resolve(args, config, name, required=False):
-    value = getattr(args, name, None)
-    if value is None:
-        value = config.get(name, _DEFAULTS.get(name))
-    if value is None:
-        if required:
-            raise ValueError(f"missing required option --{name.replace('_', '-')}")
-        return None
-    return _CONVERT[name](value)
-
-
-def _float_list(text, flag) -> list:
-    """Comma or space separated list, or linspace shorthand 'lo:hi:n'.
-
-    An empty or malformed list is an error that names ``flag``.
-    """
-    text = str(text)
+def _float_list(text) -> list:
+    """Comma or space separated list, or linspace shorthand 'lo:hi:n'."""
     try:
         if ":" in text:
             lo, hi, n = text.split(":")
@@ -111,21 +68,121 @@ def _float_list(text, flag) -> list:
         else:
             values = [float(v) for v in text.replace(",", " ").split()]
     except ValueError:
-        raise ValueError(f"{flag} expects numbers or lo:hi:n, got {text!r}") from None
+        raise ValueError(f"expects numbers or lo:hi:n, got {text!r}") from None
     if not values:
-        raise ValueError(f"{flag} needs at least one value, got {text!r}")
+        raise ValueError(f"needs at least one value, got {text!r}")
     return values
 
 
 def _parse_window(text) -> BoxWindow:
     """Exactly six finite numbers x0,x1,y0,y1,z0,z1, comma or space separated."""
     try:
-        vals = np.array(str(text).replace(",", " ").split(), dtype=float)
+        vals = np.array(text.replace(",", " ").split(), dtype=float)
     except ValueError:
         vals = np.empty(0)
     if vals.shape != (6,) or not np.all(np.isfinite(vals)):
-        raise ValueError(f"--window needs 6 numbers x0,x1,y0,y1,z0,z1, got {text!r}")
+        raise ValueError(f"needs 6 numbers x0,x1,y0,y1,z0,z1, got {text!r}")
     return BoxWindow(vals[0::2], vals[1::2])
+
+
+def _directions(text) -> list:
+    names = [d.strip() for d in text.split(",")]
+    if any(d not in _AXES for d in names) or len(set(names)) < len(names):
+        raise ValueError(f"must be a comma list of distinct axes from x, y, z, got {text!r}")
+    return names
+
+
+class _Option(NamedTuple):
+    parse: object    # text -> value; its ValueError omits the flag
+    default: str     # None: no default
+    commands: tuple
+    help: str
+
+
+_EVERY = ("simulate", "estimate", "test", "power")
+_SIM = ("simulate", "test", "power")
+_READ = ("estimate", "test", "power")
+_TEST = ("test", "power")
+_WHOLE, _REAL = _checked(int), _checked(float)
+_KINDS = {"conical": ("conical",), "cylindrical": ("cylindrical",),
+          "both": ("conical", "cylindrical")}
+
+_OPTIONS = {
+    "out": _Option(str, None, _EVERY, "output path (directory or CSV file)"),
+    "threads": _Option(_WHOLE, str(os.cpu_count() or 1), _EVERY,
+                       "worker processes (results do not depend on it)"),
+    "seed": _Option(_WHOLE, "0", _SIM, "campaign seed"),
+    "window": _Option(_parse_window, "0,1,0,1,0,1", _SIM, "x0,x1,y0,y1,z0,z1 of the box"),
+    "model": _Option(_one_of({k: k for k in ("poisson", "plcpp", "matern", "packing")}),
+                     None, _SIM, "poisson, plcpp, matern or packing"),
+    "rho": _Option(_REAL, None, _SIM, "target intensity"),
+    "rho_l": _Option(_REAL, None, _SIM, "line intensity (plcpp)"),
+    "alpha": _Option(_REAL, None, _SIM, "on-line intensity (plcpp)"),
+    "sigma": _Option(_REAL, None, _SIM, "displacement std deviation (plcpp)"),
+    "hardcore_r": _Option(_REAL, None, _SIM, "hard-core scale R (matern: min distance; "
+                          "packing: ball radius)"),
+    "compress_c": _Option(_REAL, None, _SIM, "compression factor in (0,1]"),
+    "m": _Option(_checked(int, lambda n: n >= 1, "needs at least 1 replicate"), None, _SIM,
+                 "replicate count"),
+    "input": _Option(str, None, _READ, "pattern file, directory, or comma list "
+                     "(test and power: instead of the model and its window)"),
+    "kind": _Option(_one_of(_KINDS), "both", _READ, "conical, cylindrical or both"),
+    "aspect": _Option(_checked(_float_list, lambda v: all(a > 1.0 for a in v),
+                               "values must exceed 1.0"),
+                      "2", _READ, "aspect ratio a > 1 (test and power: a list)"),
+    "r_max": _Option(_checked(float, lambda r: r > 0.0, "must be positive"), None,
+                     ("estimate",), "largest cylinder radius"),
+    "grid": _Option(_checked(int, lambda n: n >= 2, "needs at least 2 grid radii"), "512",
+                    _READ, "number of grid radii"),
+    "directions": _Option(_directions, "x,y,z", ("estimate",), "comma list from x,y,z"),
+    "r2_grid": _Option(_checked(_float_list, lambda v: v[0] > 0.0 and all(np.diff(v) > 0.0),
+                                "values must be positive and strictly ascending"),
+                       None, _TEST, "integration bounds: comma list or lo:hi:n"),
+    "level": _Option(_checked(float, lambda x: 0.0 < x < 1.0, "must lie in (0, 1)"), "0.05",
+                     _TEST, "significance level"),
+}
+
+# what --input replaces; --seed stays, because it labels the CSV
+_MODEL_KEYS = ("window", "model", "rho", "rho_l", "alpha", "sigma", "hardcore_r",
+               "compress_c", "m")
+
+
+def _flag(name) -> str:
+    return "--" + name.replace("_", "-")
+
+
+def load_config(path) -> dict:
+    """Flat ``key = value`` config; a key names an option of any command."""
+    out = {}
+    with open(path) as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            line = raw.strip()
+            if not line or line.startswith("#"):
+                continue
+            key, eq, value = line.partition("=")
+            key = key.strip().replace("-", "_")
+            if not eq:
+                raise ValueError(f"{path}:{lineno}: expected 'key = value', got {line!r}")
+            if key not in _OPTIONS:
+                raise ValueError(f"{path}:{lineno}: unknown option {key!r}")
+            out[key] = value.strip()
+    return out
+
+
+def _given(args, config, name):
+    """The option's text: the flag, else the config value, else the default."""
+    text = getattr(args, name, None)
+    return config.get(name, _OPTIONS[name].default) if text is None else text
+
+
+def _resolve(args, config, name, required=False):
+    text = _given(args, config, name)
+    if text is None and required:
+        raise ValueError(f"missing required option {_flag(name)}")
+    try:
+        return None if text is None else _OPTIONS[name].parse(text)
+    except ValueError as exc:
+        raise ValueError(f"{_flag(name)} {exc}") from None
 
 
 def _model_from(args, config) -> ModelSpec:
@@ -142,21 +199,11 @@ def _model_from(args, config) -> ModelSpec:
         if rho_l is None:
             rho_l = rho / alpha
         model = ModelSpec.plcpp(rho, rho_l, sigma, alpha=alpha)
-    elif kind in ("matern", "packing"):
+    else:
         r = _resolve(args, config, "hardcore_r", required=True)
         model = ModelSpec(kind=kind, rho=rho, hardcore_r=r)
-    else:
-        raise ValueError(f"unknown model {kind!r}")
     c = _resolve(args, config, "compress_c")
     return model.compressed(c) if c is not None else model
-
-
-def _kinds(kind: str) -> tuple:
-    if kind == "both":
-        return ("conical", "cylindrical")
-    if kind in ("conical", "cylindrical"):
-        return (kind,)
-    raise ValueError(f"kind must be conical, cylindrical, or both, got {kind!r}")
 
 
 def _check_r_max(window, a, r_max, what):
@@ -177,31 +224,31 @@ def _check_r_max(window, a, r_max, what):
 
 
 def cmd_simulate(args, config) -> None:
-    manifest = CampaignManifest(
-        model=_model_from(args, config),
-        m=_resolve(args, config, "m", required=True),
-        seed=_resolve(args, config, "seed"),
-        out_dir=_resolve(args, config, "out", required=True),
-        window=_parse_window(_resolve(args, config, "window")),
-    )
-    if manifest.m < 1:
-        raise ValueError(f"need m >= 1 replicates, got {manifest.m}")
+    """Write m replicated pattern files and a manifest."""
+    model = _model_from(args, config)
+    m = _resolve(args, config, "m", required=True)
+    seed = _resolve(args, config, "seed")
+    out_dir = _resolve(args, config, "out", required=True)
+    window = _resolve(args, config, "window")
     threads = _resolve(args, config, "threads")
-    os.makedirs(manifest.out_dir, exist_ok=True)
-    if not os.access(manifest.out_dir, os.W_OK):
-        raise OSError(f"output directory {manifest.out_dir} is not writable")
-    patterns = simulate_campaign(manifest.model, manifest.window, manifest.m,
-                                 manifest.seed, threads)
-    echo = " ".join(f"{k}={v}" for k, v in manifest.model.describe().items())
+    os.makedirs(out_dir, exist_ok=True)
+    if not os.access(out_dir, os.W_OK):
+        raise OSError(f"output directory {out_dir} is not writable")
+    patterns = simulate_campaign(model, window, m, seed, threads)
+    echo = model.describe()
+    comment = " ".join(f"{k}={v}" for k, v in echo.items())
     for i, pattern in enumerate(patterns):
-        write_pattern(
-            os.path.join(manifest.out_dir, f"pattern_{i:05d}.txt"),
-            pattern,
-            comments=[echo, f"replicate = {i}", f"seed = ({manifest.seed}, {i})"],
-        )
-    with open(os.path.join(manifest.out_dir, "manifest.txt"), "w") as fh:
-        fh.write("\n".join(manifest.lines()) + "\n")
-    print(f"wrote {manifest.m} patterns and manifest.txt to {manifest.out_dir}")
+        write_pattern(os.path.join(out_dir, f"pattern_{i:05d}.txt"), pattern,
+                      comments=[comment, f"replicate = {i}", f"seed = ({seed}, {i})"])
+    # every float by repr, so that the manifest reads back as this campaign's config
+    lines = ["# aniso3d simulate manifest"]
+    lines += [f"{k} = {float(v)!r}" if isinstance(v, float) else f"{k} = {v}"
+              for k, v in echo.items()]
+    bounds = np.column_stack([window.lo, window.hi]).ravel().tolist()
+    lines += [f"m = {m}", f"seed = {seed}", "window = " + " ".join(map(repr, bounds))]
+    with open(os.path.join(out_dir, "manifest.txt"), "w") as fh:
+        fh.write("\n".join(lines) + "\n")
+    print(f"wrote {m} patterns and manifest.txt to {out_dir}")
 
 
 def _read_input(source) -> list:
@@ -213,33 +260,26 @@ def _read_input(source) -> list:
 
 
 def cmd_estimate(args, config) -> None:
+    """Pool directional K-profiles into a CSV."""
     source = _resolve(args, config, "input", required=True)
     out = _resolve(args, config, "out", required=True)
-    aspect = _resolve(args, config, "aspect")
-    aspects = _float_list(aspect, "--aspect")
+    aspects = _resolve(args, config, "aspect")
     if len(aspects) != 1:
-        raise ValueError(f"--aspect takes one aspect ratio for estimate, got {aspect!r}")
+        raise ValueError(f"--aspect takes one aspect ratio for estimate, "
+                         f"got {_given(args, config, 'aspect')!r}")
     a = aspects[0]
-    kinds = _kinds(_resolve(args, config, "kind"))
+    kinds = _resolve(args, config, "kind")
     n_grid = _resolve(args, config, "grid")
-    if n_grid < 2:
-        raise ValueError(f"--grid needs at least 2 grid radii, got {n_grid}")
     threads = _resolve(args, config, "threads")
-    names = _resolve(args, config, "directions")
-    directions = [d.strip() for d in names.split(",")]
-    if any(d not in _AXES for d in directions) or len(set(directions)) < len(directions):
-        raise ValueError(f"--directions must be a comma list of distinct axes "
-                         f"from x, y, z, got {names!r}")
+    directions = _resolve(args, config, "directions")
+    r_max = _resolve(args, config, "r_max")
 
     patterns = _read_input(source)
     require_common_window(patterns, "pooled patterns")
     window = patterns[0].window
-    r_max = _resolve(args, config, "r_max")
     if r_max is None:
         grid = default_r_grid(window, a, n_grid)
     else:
-        if not r_max > 0.0:
-            raise ValueError(f"--r-max must be positive, got {r_max!r}")
         _check_r_max(window, a, r_max, "--r-max")
         grid = np.linspace(0.0, r_max, n_grid)
     r_max = float(grid[-1])  # linspace writes its endpoint exactly
@@ -266,45 +306,42 @@ def cmd_estimate(args, config) -> None:
     print(f"wrote {out}")
 
 
-def _power_rows(patterns, a_list, r2_list, kinds, level, n_grid, threads, m, seed):
-    window = patterns[0].window
-    for a in a_list:
-        _check_r_max(window, a, max(r2_list), "--r2-grid entry")
-    cfg = TestConfig(kind=kinds[0], a=a_list[0], r2=max(r2_list), alpha_level=level,
-                     grid_points=n_grid)
-    curve = power_curve_from_patterns(patterns, cfg, r2_list, kinds=kinds,
-                                      threads=threads, aspects=a_list)
-    row_aspects = [a for a in a_list for _ in r2_list]
-    return [[float(a), r2, p_cn, p_cl, m, seed]
-            for a, (r2, p_cn, p_cl) in zip(row_aspects, curve)]
-
-
-def _run_power_like(args, config, name) -> None:
+def cmd_power(args, config) -> None:
+    """Sweep isotropy-test power over r2 for --input patterns or a simulated campaign."""
     out = _resolve(args, config, "out", required=True)
     level = _resolve(args, config, "level")
     n_grid = _resolve(args, config, "grid")
     threads = _resolve(args, config, "threads")
     seed = _resolve(args, config, "seed")
-    kinds = _kinds(_resolve(args, config, "kind"))
-    a_list = _float_list(_resolve(args, config, "aspect"), "--aspect")
-    r2_list = _float_list(_resolve(args, config, "r2_grid", required=True), "--r2-grid")
+    kinds = _resolve(args, config, "kind")
+    a_list = _resolve(args, config, "aspect")
+    r2_list = _resolve(args, config, "r2_grid", required=True)
 
     source = _resolve(args, config, "input")
     if source is not None:
+        # model keys from a config file (say, the campaign's manifest) stay unread
+        flags = [_flag(k) for k in _MODEL_KEYS if getattr(args, k) is not None]
+        if flags:
+            raise ValueError(f"--input excludes the model flags, got {', '.join(flags)}")
         patterns = _read_input(source)
         origin = f"input = {source}"
-        m = len(patterns)
     else:
         model = _model_from(args, config)
         m = _resolve(args, config, "m", required=True)
-        window = _parse_window(_resolve(args, config, "window"))
-        patterns = simulate_campaign(model, window, m, seed, threads)
+        patterns = simulate_campaign(model, _resolve(args, config, "window"), m, seed, threads)
         origin = " ".join(f"{k}={v}" for k, v in model.describe().items())
+    m = len(patterns)
 
-    rows = _power_rows(patterns, a_list, r2_list, kinds, level, n_grid,
-                       threads, m, seed)
+    for a in a_list:
+        _check_r_max(patterns[0].window, a, r2_list[-1], "--r2-grid entry")
+    cfg = TestConfig(kind=kinds[0], a=a_list[0], r2=r2_list[-1], alpha_level=level,
+                     grid_points=n_grid)
+    curve = power_curve_from_patterns(patterns, cfg, r2_list, kinds=kinds,
+                                      threads=threads, aspects=a_list)
+    row_aspects = [a for a in a_list for _ in r2_list]
+    rows = [[a, r2, p_cn, p_cl, m, seed] for a, (r2, p_cn, p_cl) in zip(row_aspects, curve)]
     comments = [
-        f"aniso3d {name}",
+        f"aniso3d {args.command}",
         origin,
         f"m = {m}",
         f"seed = {seed}",
@@ -317,68 +354,28 @@ def _run_power_like(args, config, name) -> None:
     print(f"wrote {out}")
 
 
+# callables, which perfbench/tracecli.py wraps; each docstring is the help
+_COMMANDS = {
+    "simulate": cmd_simulate,
+    "estimate": cmd_estimate,
+    "test": cmd_power,
+    "power": cmd_power,
+}
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="aniso3d",
         description="Directional K-functions and isotropy testing for 3D point patterns.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p):
-        p.add_argument("--config", help="key = value file of flag defaults")
-        p.add_argument("--out", help="output path (directory or CSV file)")
-        p.add_argument("--threads", help="worker processes (results do not depend on it)")
-
-    def add_model(p):
-        p.add_argument("--seed", help="campaign seed")
-        p.add_argument("--window", help="x0,x1,y0,y1,z0,z1 observation window")
-        p.add_argument("--model", choices=["poisson", "plcpp", "matern", "packing"])
-        p.add_argument("--rho", help="target intensity")
-        p.add_argument("--rho-l", dest="rho_l", help="line intensity (plcpp)")
-        p.add_argument("--alpha", help="on-line intensity (plcpp)")
-        p.add_argument("--sigma", help="displacement std deviation (plcpp)")
-        p.add_argument("--hardcore-r", dest="hardcore_r",
-                       help="hard-core scale R (matern: min distance; packing: ball radius)")
-        p.add_argument("--compress-c", dest="compress_c", help="compression factor in (0,1]")
-        p.add_argument("--m", help="replicate count")
-
-    p_sim = sub.add_parser("simulate", help="write m replicated pattern files + manifest")
-    add_common(p_sim)
-    add_model(p_sim)
-
-    p_est = sub.add_parser("estimate", help="pool directional K-profiles into a CSV")
-    add_common(p_est)
-    p_est.add_argument("--input", help="pattern file, directory, or comma list")
-    p_est.add_argument("--kind", choices=["conical", "cylindrical", "both"])
-    p_est.add_argument("--aspect", help="aspect ratio a > 1")
-    p_est.add_argument("--r-max", dest="r_max", help="largest cylinder radius")
-    p_est.add_argument("--grid", help="number of grid radii")
-    p_est.add_argument("--directions", help="comma list from x,y,z")
-
-    for name, helptext in (
-        ("test", "isotropy test power table for existing patterns"),
-        ("power", "simulate a campaign and sweep test power over r2"),
-    ):
-        p = sub.add_parser(name, help=helptext)
-        add_common(p)
-        add_model(p)
-        p.add_argument("--input",
-                       help="pattern file, directory, or comma list (alternative to --model)")
-        p.add_argument("--kind", choices=["conical", "cylindrical", "both"])
-        p.add_argument("--aspect", help="aspect ratio or comma list of ratios")
-        p.add_argument("--r2-grid", dest="r2_grid",
-                       help="integration bounds: comma list or lo:hi:n")
-        p.add_argument("--level", help="significance level")
-        p.add_argument("--grid", help="number of grid radii")
+    for command, fn in _COMMANDS.items():
+        p = sub.add_parser(command, help=fn.__doc__)
+        p.add_argument("--config", help="key = value file of option defaults")
+        for name, option in _OPTIONS.items():
+            if command in option.commands:
+                p.add_argument(_flag(name), help=option.help)
     return parser
-
-
-_COMMANDS = {
-    "simulate": cmd_simulate,
-    "estimate": cmd_estimate,
-    "test": partial(_run_power_like, name="test"),
-    "power": partial(_run_power_like, name="power"),
-}
 
 
 def main(argv=None) -> int:

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import aniso3d
-from aniso3d import _parallel, estimate, simulate
+from aniso3d import _parallel, cli, estimate, simulate
 from aniso3d.cli import main
 from aniso3d.estimate import pooled_profile
 from aniso3d.geometry import X_AXIS, Y_AXIS, Z_AXIS
@@ -627,6 +627,103 @@ class TestConfigFile:
         code = run_cli("simulate", "--config", config, "--out", tmp_path / "x")
         assert code == 1
         assert "key = value" in capsys.readouterr().err
+
+    def test_unknown_key_names_its_line(self, tmp_path, capsys):
+        config = tmp_path / "run.cfg"
+        config.write_text("model = poisson\nrhoo = 5\n")
+        code = run_cli("simulate", "--config", config, "--rho", "5", "--m", "1",
+                       "--out", tmp_path / "x")
+        assert code == 1
+        assert f"error: {config}:2: unknown option 'rhoo'" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
+    def test_keys_of_other_commands_are_accepted(self, tmp_path):
+        config = tmp_path / "run.cfg"
+        config.write_text("model = poisson\nrho = 150\nm = 2\nr2-grid = 0.05\ndirections = z\n")
+        assert run_cli("simulate", "--config", config, "--out", tmp_path / "c") == 0
+
+    def test_manifest_is_a_config(self, tmp_path):
+        flags = ["--model", "plcpp", "--rho", "300", "--rho-l", "100", "--sigma", "0.01",
+                 "--compress-c", "0.8", "--m", "3", "--seed", "6",
+                 "--window", "0,1.5,0,1,0.25,1.25"]
+        camp = tmp_path / "camp"
+        assert run_cli("simulate", *flags, "--out", camp) == 0
+        manifest = camp / "manifest.txt"
+        again = tmp_path / "again"
+        assert run_cli("simulate", "--config", manifest, "--out", again) == 0
+        assert sorted(os.listdir(again)) == sorted(os.listdir(camp))
+        for name in os.listdir(camp):
+            assert (again / name).read_bytes() == (camp / name).read_bytes(), name
+
+        sweep = ("--r2-grid", "0.03,0.05", "--grid", "32", "--threads", "1")
+        assert run_cli("power", "--config", manifest, *sweep, "--out", tmp_path / "a.csv") == 0
+        assert run_cli("power", *flags, *sweep, "--out", tmp_path / "b.csv") == 0
+        assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+
+        # next to --input the manifest's model keys stay unread; its seed labels the CSV
+        out = tmp_path / "t.csv"
+        assert run_cli("test", "--config", manifest, "--input", camp, *sweep, "--out", out) == 0
+        rows = [l.split(",") for l in out.read_text().splitlines() if not l.startswith("#")]
+        assert [r[4:] for r in rows[1:]] == [["3", "6"], ["3", "6"]]
+
+
+class TestOptionTable:
+    def test_each_command_takes_the_flags_the_table_gives_it(self):
+        parser = cli._build_parser()
+        for command in cli._COMMANDS:
+            assert parser.parse_args([command, "--config", "c"]).config == "c"
+            for name, option in cli._OPTIONS.items():
+                argv = [command, "--" + name.replace("_", "-"), "1"]
+                if command in option.commands:
+                    # flags stay text, so that a flag and a config value parse alike
+                    assert getattr(parser.parse_args(argv), name) == "1"
+                else:
+                    with pytest.raises(SystemExit):
+                        parser.parse_args(argv)
+
+    @pytest.fixture(scope="class")
+    def campaign(self, tmp_path_factory):
+        out = tmp_path_factory.mktemp("options") / "camp"
+        assert run_cli("simulate", "--model", "poisson", "--rho", "100", "--m", "3",
+                       "--seed", "4", "--out", out) == 0
+        return out
+
+    @pytest.mark.parametrize("command, extra, config, message", [
+        ("estimate", ["--aspect", "1"], None, "--aspect values must exceed 1.0, got '1'"),
+        ("test", ["--aspect", "1.5,1"], None, "--aspect values must exceed 1.0, got '1.5,1'"),
+        ("test", ["--r2-grid", "-0.1"], None,
+         "--r2-grid values must be positive and strictly ascending, got '-0.1'"),
+        ("test", ["--r2-grid", "0.05,0.03"], None,
+         "--r2-grid values must be positive and strictly ascending, got '0.05,0.03'"),
+        ("test", ["--level", "1.5"], None, "--level must lie in (0, 1), got 1.5"),
+        ("test", ["--grid", "1"], None, "--grid needs at least 2 grid radii, got 1"),
+        ("simulate", ["--m", "0"], None, "--m needs at least 1 replicate, got 0"),
+        ("simulate", ["--m", "2.5"], None, "--m expects a whole number, got '2.5'"),
+        ("power", ["--rho", "abc"], None, "--rho expects a number, got 'abc'"),
+        ("power", ["--model", "cubic"], None,
+         "--model must be one of poisson, plcpp, matern, packing, got 'cubic'"),
+        ("estimate", ["--kind", "diag"], None,
+         "--kind must be one of conical, cylindrical, both, got 'diag'"),
+        ("estimate", [], "kind = diag\n",
+         "--kind must be one of conical, cylindrical, both, got 'diag'"),
+        ("test", ["--model", "poisson", "--rho", "5", "--m", "9", "--seed", "3"], None,
+         "--input excludes the model flags, got --model, --rho, --m"),
+    ])
+    def test_bad_value_names_its_flag(self, campaign, tmp_path, capsys, command, extra,
+                                      config, message):
+        base = {
+            "simulate": ["--model", "poisson", "--rho", "100", "--m", "2"],
+            "estimate": ["--input", campaign, "--r-max", "0.1"],
+            "test": ["--input", campaign, "--r2-grid", "0.05"],
+            "power": ["--model", "poisson", "--rho", "100", "--m", "2", "--r2-grid", "0.05"],
+        }[command]
+        if config is not None:
+            (tmp_path / "run.cfg").write_text(config)
+            extra = extra + ["--config", tmp_path / "run.cfg"]
+        out = tmp_path / "out"
+        assert run_cli(command, *base, *extra, "--out", out) == 1
+        assert f"error: {message}\n" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestTraceHooks:
