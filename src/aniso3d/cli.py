@@ -109,8 +109,9 @@ _KINDS = {"conical": ("conical",), "cylindrical": ("cylindrical",),
 
 _OPTIONS = {
     "out": _Option(str, None, _EVERY, "output path (directory or CSV file)"),
-    "threads": _Option(_WHOLE, str(os.cpu_count() or 1), _EVERY,
-                       "worker processes (results do not depend on it)"),
+    "threads": _Option(_checked(int, lambda n: n >= 1, "needs at least 1 worker"),
+                       str(os.cpu_count() or 1), _EVERY,
+                       "worker processes, at least 1 (results do not depend on it)"),
     "seed": _Option(_WHOLE, "0", _SIM, "campaign seed"),
     "window": _Option(_parse_window, "0,1,0,1,0,1", _SIM, "x0,x1,y0,y1,z0,z1 of the box"),
     "model": _Option(_one_of({k: k for k in ("poisson", "plcpp", "matern", "packing")}),
@@ -370,8 +371,9 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for command, fn in _COMMANDS.items():
-        p = sub.add_parser(command, help=fn.__doc__)
-        p.add_argument("--config", help="key = value file of option defaults")
+        p = sub.add_parser(command, help=fn.__doc__, allow_abbrev=False)
+        p.add_argument("--config", help="key = value file of option defaults; "
+                       "flags and keys are spelled in full")
         for name, option in _OPTIONS.items():
             if command in option.commands:
                 p.add_argument(_flag(name), help=option.help)

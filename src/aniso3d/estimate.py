@@ -108,9 +108,6 @@ class PatternPairs:
     vec: np.ndarray      # displacements x_j - x_i, points in lexicographic order
     norm: np.ndarray
     weight: np.ndarray   # translation edge weights
-    n_points: int
-    window: BoxWindow
-    extent: float
 
 
 def pattern_pairs(pattern: PointPattern, extent: float) -> PatternPairs:
@@ -131,7 +128,7 @@ def pattern_pairs(pattern: PointPattern, extent: float) -> PatternPairs:
     i, j = close_pairs(pts, extent)
     vec = pts[j] - pts[i]
     weight = 1.0 / np.prod(pattern.window.sides - np.abs(vec), axis=1)
-    return PatternPairs(vec, _norms(vec), weight, pattern.n, pattern.window, extent)
+    return PatternPairs(vec, _norms(vec), weight)
 
 
 def _axial_radial(pairs: PatternPairs, u: np.ndarray):

@@ -17,6 +17,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from . import _parallel
 from .geometry import as_direction, close_pairs
 
 __all__ = [
@@ -491,12 +492,11 @@ def simulate_campaign(model: ModelSpec, window: BoxWindow, m: int, seed: int,
     A replicate that fails to generate (a packing that does not converge)
     raises RuntimeError naming its key ``(seed, i)``.
     """
-    from ._parallel import parallel_map
-
     if m < 1:
         raise ValueError(f"need at least one replicate, got {m}")
-    return parallel_map(_campaign_replicate,
-                        [(model, window, seed, i) for i in range(m)], threads)
+    # looked up on the module at call time, where perfbench/tracecli.py wraps it
+    return _parallel.parallel_map(_campaign_replicate,
+                                  [(model, window, seed, i) for i in range(m)], threads)
 
 
 def _campaign_replicate(args):

@@ -1,5 +1,6 @@
 """Tests for pattern file I/O and the command-line interface."""
 
+import concurrent.futures
 import importlib
 import importlib.util
 import os
@@ -200,7 +201,7 @@ class TestParallelMap:
                 started.append(chunksize)
                 return map(fn, items)
 
-        monkeypatch.setattr(_parallel, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
         assert _parallel.parallel_map(abs, [-1, -2, -3, -4], threads=64) == [1, 2, 3, 4]
         assert _parallel.parallel_map(abs, range(-100, 0), threads=3) == list(range(100, 0, -1))
         # (workers, chunk): min(threads, items), and items // (4 * threads)
@@ -208,10 +209,12 @@ class TestParallelMap:
 
 
 def test_cli_import_loads_no_scipy():
+    # nor the process pool, which only a run with --threads above 1 starts
     src = os.path.dirname(os.path.dirname(os.path.abspath(aniso3d.__file__)))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     code = ("import sys, aniso3d.cli; "
-            "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))")
+            "print(sorted(m for m in sys.modules if m.split('.')[0] in "
+            "('scipy', 'multiprocessing') or m == 'concurrent.futures.process'))")
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, timeout=60, check=True)
     assert done.stdout.strip() == "[]"
@@ -363,7 +366,9 @@ class TestEstimateCommand:
         data = np.loadtxt([l for l in lines if not l.startswith("#")][1:], delimiter=",")
         assert data[:, 0].tobytes() == want.tobytes()
 
-    @pytest.mark.parametrize("flag, value", [("--seed", "5"), ("--window", "0,2,0,2,0,2")])
+    # abbreviations too: flags are spelled in full, as config keys are
+    @pytest.mark.parametrize("flag, value", [("--seed", "5"), ("--window", "0,2,0,2,0,2"),
+                                             ("--r", "0.05"), ("--thr", "1")])
     def test_rejects_options_it_does_not_read(self, campaign, tmp_path, capsys, flag, value):
         with pytest.raises(SystemExit) as info:
             run_cli("estimate", "--input", campaign, "--r-max", "0.1", flag, value,
@@ -708,6 +713,8 @@ class TestOptionTable:
          "--kind must be one of conical, cylindrical, both, got 'diag'"),
         ("test", ["--model", "poisson", "--rho", "5", "--m", "9", "--seed", "3"], None,
          "--input excludes the model flags, got --model, --rho, --m"),
+        ("estimate", ["--threads", "-3"], None, "--threads needs at least 1 worker, got -3"),
+        ("simulate", [], "threads = 0\n", "--threads needs at least 1 worker, got 0"),
     ])
     def test_bad_value_names_its_flag(self, campaign, tmp_path, capsys, command, extra,
                                       config, message):

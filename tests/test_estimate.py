@@ -351,7 +351,7 @@ class TestFusedKernel:
         # the component-major offsets give the bits of the row-major
         # formula that cylinder_contains uses, for every direction
         with np.errstate(over="ignore", invalid="ignore"):
-            pairs = PatternPairs(vec, _norms(vec), np.ones(len(vec)), 0, unit_cube(), 0.0)
+            pairs = PatternPairs(vec, _norms(vec), np.ones(len(vec)))
             axial_abs, radial = _axial_radial(pairs, u)
             axial = vec @ u
             expected = _norms(vec - np.multiply.outer(axial, u))
