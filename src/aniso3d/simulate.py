@@ -304,17 +304,22 @@ def simulate_packing(
     than ``2 r``.
 
     Overlapping pairs are found in a neighbour list of the pairs within
-    the current diameter plus a skin of ``0.6 r``, rebuilt only when the
-    centers have moved far enough that a pair outside it could overlap.
-    Every sweep therefore pushes exactly the pairs, in the canonical
-    ``(i, j)`` order, that a fresh periodic query would return.
+    the current diameter plus a skin of ``0.6 r``.  Each sweep adds its
+    pushes to an unwrapped ``drift`` of every center since the last build;
+    the list is rebuilt once twice the largest drift could close the gap
+    between the list's reach and the current diameter.  Every sweep
+    therefore pushes exactly the pairs, in the canonical ``(i, j)`` order,
+    that a fresh periodic query would return, and when the list is rebuilt
+    changes no output bit.  The centers are kept component-major, as a
+    ``(3, n)`` array, for the whole loop.
     """
     if spec.kind != "packing":
         raise ValueError(f"expected a packing spec, got kind={spec.kind!r}")
     rng = replicate_rng(seed)
     sides = window.sides
+    col = sides[:, None]
     n = int(round(spec.rho * window.volume))
-    pos = rng.random((n, 3)) * sides
+    pos = (rng.random((n, 3)) * sides).T.copy()
     target = 2.0 * spec.r
 
     if n > 1:
@@ -324,37 +329,46 @@ def simulate_packing(
         floor = 1e-3 * (goal - target)
         skin = 0.3 * target
         d_cur = 0.8 * goal
-        built, reach = pos, 0.0  # no neighbour list yet: the first sweep builds one
+        drift = np.zeros_like(pos)
+        shift = np.empty_like(pos)
+        reach = 0.0  # no neighbour list yet: the first sweep builds one
         for _ in range(max_sweeps):
-            _, moved = _separation(built, pos, sides)
-            # a pair now closer than d_cur was closer than d_cur + 2 max|moved|
-            # at the last build, so the list at ``reach`` still holds every hit
-            # unless that bound (with slack far above rounding) reaches it
-            if 2.0 * moved.max() >= (1.0 - 1e-9) * reach - d_cur:
-                built, reach = pos, d_cur + skin
-                near_i, near_j = close_pairs(pos, reach, sides)
-            delta, dist = _separation(pos[near_i], pos[near_j], sides)
-            coincident = dist == 0.0
-            if np.any(coincident):
-                delta[coincident] = (1e-9 * target, 0.0, 0.0)
-                dist[coincident] = 1e-9 * target
-            hit = dist < d_cur
-            if not np.any(hit):
+            # a pair now closer than d_cur was closer than d_cur + 2 max|drift|
+            # at the last build (drift bounds the minimum-image move), so the
+            # list at ``reach`` still holds every hit unless that bound (with
+            # slack far above rounding) reaches it
+            room = (1.0 - 1e-9) * reach - d_cur
+            sq = drift * drift
+            if room <= 0.0 or 4.0 * ((sq[0] + sq[1]) + sq[2]).max() >= room * room:
+                reach = d_cur + skin
+                near_i, near_j = close_pairs(pos.T, reach, sides)
+                drift[:] = 0.0
+            delta, dist = _separation(pos.take(near_i, axis=1),
+                                      pos.take(near_j, axis=1), sides)
+            hit = np.flatnonzero(dist < d_cur)
+            if len(hit) == 0:
                 if d_cur >= goal:
                     break
                 d_cur = min(goal, 1.25 * d_cur)
                 continue
-            i, j, delta, dist = near_i[hit], near_j[hit], delta[hit], dist[hit]
+            i, j = near_i.take(hit), near_j.take(hit)
+            delta, dist = delta.take(hit, axis=1), dist.take(hit)
+            # coincident centers (distance 0, always a hit) part along x
+            coincident = dist == 0.0
+            if np.any(coincident):
+                delta[:, coincident] = [[1e-9 * target], [0.0], [0.0]]
+                dist[coincident] = 1e-9 * target
             # overshoot so resolved pairs end up strictly clear
-            push = ((0.55 * (d_cur - dist) + floor) / dist)[:, None] * delta
+            push = (0.55 * (d_cur - dist) + floor) / dist * delta
             # one pass over i then j sums each point's pushes in np.add.at order
             ends = np.concatenate([i, j])
-            weights = np.concatenate([-push, push])
-            shift = np.column_stack(
-                [np.bincount(ends, weights[:, k], n) for k in range(3)]
-            )
-            pos = (pos + shift) % sides
-            pos[pos >= sides] = 0.0  # % can round up to the boundary
+            weights = np.concatenate([-push, push], axis=1)
+            for k in range(3):
+                shift[k] = np.bincount(ends, weights[k], n)
+            pos += shift
+            drift += shift
+            np.remainder(pos, col, out=pos)
+            pos[pos >= col] = 0.0  # % can round up to the boundary
             d_cur = min(goal, 1.05 * d_cur)
         achieved = _min_periodic_distance(pos, sides, target)
         if achieved < target:
@@ -363,21 +377,30 @@ def simulate_packing(
                 f"ball radius {achieved / 2.0:.6g} < {spec.r:.6g} "
                 f"(minimum center distance {achieved:.6g})"
             )
-    return PointPattern(window.lo + pos, window)
+    # C order, the layout of the other simulators: ``vec @ u`` downstream
+    # rounds differently on another layout
+    return PointPattern(np.ascontiguousarray(window.lo + pos.T), window)
 
 
 def _separation(a, b, sides):
-    """Minimum-image difference vectors ``b - a`` row by row, and their lengths."""
+    """Minimum-image differences ``b - a`` of ``(3, k)`` arrays, and their lengths.
+
+    Each column is a point and each row a component.  A length is
+    ``sqrt((dx*dx + dy*dy) + dz*dz)``, the order in which ``np.sum`` adds
+    the three squares of a row-major difference.
+    """
+    col = sides[:, None]
     delta = b - a
-    delta -= sides * np.round(delta / sides)
-    return delta, np.sqrt(np.sum(delta * delta, axis=1))
+    delta -= col * np.round(delta / col)
+    sq = delta * delta
+    return delta, np.sqrt((sq[0] + sq[1]) + sq[2])
 
 
 def _min_periodic_distance(pos, sides, probe: float) -> float:
-    i, j = close_pairs(pos, probe, sides)
+    i, j = close_pairs(pos.T, probe, sides)
     if len(i) == 0:
         return math.inf
-    return float(_separation(pos[i], pos[j], sides)[1].min())
+    return float(_separation(pos.take(i, axis=1), pos.take(j, axis=1), sides)[1].min())
 
 
 def compress(pattern: PointPattern, c: float) -> PointPattern:

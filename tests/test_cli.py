@@ -3,6 +3,7 @@
 import concurrent.futures
 import importlib
 import importlib.util
+import json
 import os
 import subprocess
 import sys
@@ -743,3 +744,25 @@ class TestTraceHooks:
         for module_name, attr, _, _ in tracecli._ALL:
             assert callable(getattr(importlib.import_module(module_name), attr)), (
                 f"{module_name}.{attr}")
+
+    @pytest.mark.parametrize("mode, threads, want", [
+        # the modes perfbench/run.py traces with; at --threads 2 the replicates
+        # are generated in pool workers, whose spans the tracer does not record
+        ("all", 1, {"parallel.parallel_map": 2, "simulate.simulate_model": 4}),
+        ("parallel", 2, {"parallel.parallel_map": 2, "simulate.simulate_model": 0}),
+    ])
+    def test_traced_power_counts_its_spans(self, tmp_path, mode, threads, want):
+        """One span per call the tracer wraps: the campaign's `parallel_map` is
+        lost if `simulate.py` binds it by name before the tracer wraps it."""
+        root = Path(__file__).resolve().parents[1]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [str(root / "src"), os.environ.get("PYTHONPATH", "")]))
+        spans = tmp_path / "spans.json"
+        subprocess.run(
+            [sys.executable, str(root / "perfbench" / "tracecli.py"), str(spans), mode,
+             "power", "--model", "packing", "--rho", "100", "--hardcore-r", "0.05",
+             "--m", "4", "--r2-grid", "0.02:0.1:5", "--threads", str(threads),
+             "--out", str(tmp_path / "power.csv")],
+            env=env, cwd=tmp_path, capture_output=True, timeout=120, check=True)
+        names = [row[0] for row in json.loads(spans.read_text())]
+        assert {name: names.count(name) for name in want} == want

@@ -348,6 +348,15 @@ class TestClosePairs:
         pts, r, sides = case
         assert_same_pairs(close_pairs(pts, r, sides), brute_pairs(pts, r, sides))
 
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(pair_cases())
+    def test_transposed_component_major_points(self, case):
+        """The packer passes ``pos.T``, a view of its ``(3, n)`` state."""
+        pts, r, sides = case
+        a = np.ascontiguousarray(pts.T)
+        assert_same_pairs(close_pairs(a.T, r, sides),
+                          close_pairs(np.ascontiguousarray(a.T), r, sides))
+
     def test_pair_whose_difference_rounds_down_to_r(self):
         # the difference rounds (to even) onto r although the points lie
         # farther apart, so a search bounded by z + r alone would miss it

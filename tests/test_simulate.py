@@ -326,6 +326,25 @@ class TestPacking:
         expected = reference_packing(spec, window, seed)
         npt.assert_array_equal(simulate_packing(spec, window, seed).points, expected)
 
+    def test_coincident_centres_match_reference(self, monkeypatch):
+        # random draws never coincide, so a stub stream places the centres:
+        # a cluster of overlapping balls with two equal rows
+        rows = 0.2 + 0.1 * np.random.default_rng(5).random((12, 3))
+        rows[7] = rows[3]
+
+        class Stream:
+            def random(self, shape):
+                assert shape == rows.shape
+                return rows.copy()
+
+        for module in (simulate, sys.modules[__name__]):
+            monkeypatch.setattr(module, "replicate_rng", lambda seed: Stream())
+        spec = HardCoreSpec(rho=12.0, r=0.05, kind="packing")
+        pattern = simulate_packing(spec, unit_cube(), 55)
+        npt.assert_array_equal(pattern.points, reference_packing(spec, unit_cube(), 55))
+        assert pattern.n == 12
+        assert min_periodic_distance(pattern.points, pattern.window) >= 0.1
+
     def test_non_convergence_raises(self):
         with pytest.raises(RuntimeError, match="did not converge in 1 sweeps"):
             simulate_packing(PACKING, unit_cube(), 53, max_sweeps=1)
@@ -403,6 +422,20 @@ class TestModelSpec:
         model = ModelSpec.plcpp(500.0, 200.0, 0.01).compressed(0.9)
         d = model.describe()
         assert d["model"] == "plcpp" and d["sigma"] == 0.01 and d["compress_c"] == 0.9
+
+    @pytest.mark.parametrize("model", [
+        ModelSpec.poisson(200.0),
+        ModelSpec.plcpp(500.0, 200.0, 0.001),
+        ModelSpec.matern(500.0, 0.05),
+        ModelSpec.packing(200.0, 0.05),
+        ModelSpec.packing(200.0, 0.05).compressed(0.7),
+    ])
+    def test_points_are_c_ordered_rows(self, model):
+        # ``vec @ u`` in the estimators rounds differently on another layout
+        points = simulate_model(model, BoxWindow(np.zeros(3), np.array([1.0, 0.8, 1.25])),
+                                (20161, 0)).points
+        assert points.ndim == 2 and points.shape[1] == 3 and len(points) > 1
+        assert points.flags.c_contiguous
 
     def test_campaign_deterministic_and_distinct(self):
         model = ModelSpec.poisson(50.0)
