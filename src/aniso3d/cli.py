@@ -13,7 +13,6 @@ stderr otherwise, and 2 for an unknown flag.
 """
 
 import argparse
-import math
 import os
 import sys
 from functools import partial
@@ -21,7 +20,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .estimate import (default_r_grid, profile_extent, ratio_of_sums, replicate_numerators,
+from .estimate import (check_r_max, default_r_grid, ratio_of_sums, replicate_numerators,
                        require_common_window)
 from .estimate import pooled_profile  # unused; perfbench/tracecli.py wraps this name
 from .geometry import X_AXIS, Y_AXIS, Z_AXIS
@@ -34,8 +33,8 @@ _AXES = {"x": X_AXIS, "y": Y_AXIS, "z": Z_AXIS}
 
 
 def _checked(parse, ok=None, rule=None):
-    """``parse``, then refuse a value that fails ``ok`` by stating ``rule``,
-    echoing a number as parsed and a list as given."""
+    """``parse``, then refuse a non-finite float, and a value that fails ``ok``
+    by stating ``rule``, echoing a number as parsed and a list as given."""
     def check(text):
         try:
             value = parse(text)
@@ -44,6 +43,8 @@ def _checked(parse, ok=None, rule=None):
                 raise
             what = "a whole number" if parse is int else "a number"
             raise ValueError(f"expects {what}, got {text!r}") from None
+        if parse is float and not np.isfinite(value):
+            raise ValueError(f"expects a finite number, got {text!r}")
         if ok is not None and not ok(value):
             raise ValueError(f"{rule}, got {text if isinstance(value, list) else value!r}")
         return value
@@ -60,15 +61,19 @@ def _one_of(choices: dict):
 
 
 def _float_list(text) -> list:
-    """Comma or space separated list, or linspace shorthand 'lo:hi:n'."""
+    """Comma or space separated finite numbers, or linspace shorthand 'lo:hi:n'."""
     try:
         if ":" in text:
             lo, hi, n = text.split(":")
-            values = np.linspace(float(lo), float(hi), max(int(n), 0)).tolist()
+            values, n = [float(lo), float(hi)], max(int(n), 0)
         else:
-            values = [float(v) for v in text.replace(",", " ").split()]
+            values, n = [float(v) for v in text.replace(",", " ").split()], None
     except ValueError:
         raise ValueError(f"expects numbers or lo:hi:n, got {text!r}") from None
+    if not np.all(np.isfinite(values)):
+        raise ValueError(f"expects finite numbers, got {text!r}")
+    if n is not None:
+        values = np.linspace(*values, n).tolist()
     if not values:
         raise ValueError(f"needs at least one value, got {text!r}")
     return values
@@ -103,7 +108,7 @@ _EVERY = ("simulate", "estimate", "test", "power")
 _SIM = ("simulate", "test", "power")
 _READ = ("estimate", "test", "power")
 _TEST = ("test", "power")
-_WHOLE, _REAL = _checked(int), _checked(float)
+_REAL = _checked(float)
 _KINDS = {"conical": ("conical",), "cylindrical": ("cylindrical",),
           "both": ("conical", "cylindrical")}
 
@@ -112,7 +117,8 @@ _OPTIONS = {
     "threads": _Option(_checked(int, lambda n: n >= 1, "needs at least 1 worker"),
                        str(os.cpu_count() or 1), _EVERY,
                        "worker processes, at least 1 (results do not depend on it)"),
-    "seed": _Option(_WHOLE, "0", _SIM, "campaign seed"),
+    "seed": _Option(_checked(int, lambda n: n >= 0, "must be at least 0"), "0", _SIM,
+                    "campaign seed, at least 0"),
     "window": _Option(_parse_window, "0,1,0,1,0,1", _SIM, "x0,x1,y0,y1,z0,z1 of the box"),
     "model": _Option(_one_of({k: k for k in ("poisson", "plcpp", "matern", "packing")}),
                      None, _SIM, "poisson, plcpp, matern or packing"),
@@ -207,23 +213,6 @@ def _model_from(args, config) -> ModelSpec:
     return model.compressed(c) if c is not None else model
 
 
-def _check_r_max(window, a, r_max, what):
-    """Refuse a radius whose search extent reaches the smallest window side.
-
-    This is the pair layer's own rule.  The largest admissible radius is
-    printed rounded down to 6 digits, so every smaller value passes.
-    """
-    side = float(np.min(window.sides))
-    if profile_extent(r_max, a) >= side:
-        bound = side / profile_extent(1.0, a)  # the extent is linear in r_max
-        unit = 10.0 ** (math.floor(math.log10(bound)) - 5)
-        raise ValueError(
-            f"{what} {r_max:.6g} is out of range for this window: the derived "
-            f"element extent must stay below the smallest side, so choose "
-            f"{what} < {math.floor(bound / unit) * unit:.6g}"
-        )
-
-
 def cmd_simulate(args, config) -> None:
     """Write m replicated pattern files and a manifest."""
     model = _model_from(args, config)
@@ -281,7 +270,7 @@ def cmd_estimate(args, config) -> None:
     if r_max is None:
         grid = default_r_grid(window, a, n_grid)
     else:
-        _check_r_max(window, a, r_max, "--r-max")
+        check_r_max(window, a, r_max, "--r-max")
         grid = np.linspace(0.0, r_max, n_grid)
     r_max = float(grid[-1])  # linspace writes its endpoint exactly
 
@@ -334,7 +323,7 @@ def cmd_power(args, config) -> None:
     m = len(patterns)
 
     for a in a_list:
-        _check_r_max(patterns[0].window, a, r2_list[-1], "--r2-grid entry")
+        check_r_max(patterns[0].window, a, r2_list[-1], "--r2-grid entry")
     cfg = TestConfig(kind=kinds[0], a=a_list[0], r2=r2_list[-1], alpha_level=level,
                      grid_points=n_grid)
     curve = power_curve_from_patterns(patterns, cfg, r2_list, kinds=kinds,

@@ -182,6 +182,22 @@ def profile_extent(r_max: float, a: float) -> float:
     return cone.r_cn * (1.0 + 1e-9)
 
 
+def check_r_max(window: BoxWindow, a: float, r_max: float, what: str) -> None:
+    """The one admissible-radius rule, checked before any work: refuse a radius
+    whose search extent reaches the smallest window side, and ``a <= 1`` as
+    `equal_shape_link` does.  The message names the radius ``what`` and the
+    largest admissible one, rounded down to 6 digits so every smaller one passes."""
+    side = float(np.min(window.sides))
+    if profile_extent(r_max, a) >= side:
+        bound = side / profile_extent(1.0, a)  # the extent is linear in r_max
+        unit = 10.0 ** (math.floor(math.log10(bound)) - 5)
+        raise ValueError(
+            f"{what} {r_max:.6g} is out of range for this window: the derived "
+            f"element extent must stay below the smallest side, so choose "
+            f"{what} < {math.floor(bound / unit) * unit:.6g}"
+        )
+
+
 def _grid_index(grid: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Exactly ``np.searchsorted(grid, x, side="left")`` for an ascending grid.
 
@@ -235,8 +251,7 @@ def pair_numerators(pairs: PatternPairs, directions, kinds, r_grid, aspects) -> 
     out = np.empty((len(aspects), len(kinds), len(directions), r_grid.size))
     if r_grid.size == 0:
         return out
-    links = [(math.sqrt(a * a + 1.0), ConeParams(1.0, math.atan2(1.0, a)).cos_theta)
-             for a in aspects]
+    links = [(c.r_cn, c.cos_theta) for _, c in (equal_shape_link(1.0, a) for a in aspects)]
     weight = 2.0 * pairs.weight
     for d, u in enumerate(directions):
         axial_abs, radial = _axial_radial(pairs, u)
@@ -299,6 +314,7 @@ def k_profile(pattern: PointPattern, u, kind: str, r_grid, a: float) -> KProfile
     rho2 = intensity_sq_hat(pattern)
     if r_grid.size == 0:
         return KProfile(kind, u, r_grid, np.empty(0), a)
+    check_r_max(pattern.window, a, r_grid[-1], "r_grid entry")
     num, _ = replicate_numerators(pattern, [u], [kind], r_grid, [a])
     return KProfile(kind, u, r_grid, num[0, 0, 0] / rho2, a)
 
@@ -336,6 +352,7 @@ def pooled_profile(
     require_common_window(patterns, "pooled patterns")
     if r_grid.size == 0:
         return KProfile(kind, u, r_grid, np.empty(0), a)
+    check_r_max(patterns[0].window, a, r_grid[-1], "r_grid entry")
     replicates = (replicate_numerators(p, [u], [kind], r_grid, [a]) for p in patterns)
     if method == "ratio-of-sums":
         values = ratio_of_sums(replicates)[0, 0, 0]
@@ -347,15 +364,9 @@ def pooled_profile(
     return KProfile(kind, u, r_grid, values, a)
 
 
-def validity_bound(window: BoxWindow, a: float) -> float:
-    """Exclusive upper bound ``min_side / sqrt(a^2 + 1)`` on grid radii.
-
-    Below it, even the cone's slant reach at aspect ratio ``a`` stays
-    inside the smallest window side, where translation weights degenerate.
-    """
-    return float(np.min(window.sides)) / math.sqrt(a * a + 1.0)
-
-
 def default_r_grid(window: BoxWindow, a: float, n: int = 512) -> np.ndarray:
-    """Evenly spaced radii from 0 to ``0.45 * validity_bound(window, a)``."""
-    return np.linspace(0.0, 0.45 * validity_bound(window, a), n)
+    """``n`` evenly spaced radii from 0 to 0.45 of ``min_side / sqrt(a^2 + 1)``.
+
+    There the cone's slant meets the smallest window side, the bound of
+    `check_r_max` up to its 1e-9 slack, so the grid always passes it."""
+    return np.linspace(0.0, 0.45 * (float(np.min(window.sides)) / math.sqrt(a * a + 1.0)), n)

@@ -18,8 +18,8 @@ largest aspect's extent) and one kernel call on an even grid over
 trapezoidal rule integrates them up to each bound inside the worker, so
 only the statistics return to the main process, which takes the
 decisions.  `run_test` is the sweep at a single bound and aspect.
-Replicates must share one window shape and hold at least 2 points each;
-otherwise the sweep raises ValueError up front.
+Windows of different shapes, a replicate with fewer than 2 points, or an
+r2 that `check_r_max` refuses at any aspect raise ValueError up front.
 
 The size of the test is at most alpha and usually well below it.  Under
 isotropy in a cube T_xy, T_xz and T_yz are exchangeable, so each single
@@ -37,7 +37,7 @@ from functools import partial
 import numpy as np
 
 from ._parallel import parallel_map
-from .estimate import KINDS, replicate_numerators, require_common_window
+from .estimate import KINDS, check_r_max, replicate_numerators, require_common_window
 from .estimate import pair_numerators  # unused; perfbench/tracecli.py wraps this name
 from .estimate import pattern_pairs  # unused; perfbench/tracecli.py wraps this name
 from .geometry import X_AXIS, Y_AXIS, Z_AXIS
@@ -225,8 +225,7 @@ def _sweep(patterns, cfg: TestConfig, r2_grid, kinds, aspects, include_self: boo
     if not aspects:
         raise ValueError("need at least one aspect ratio")
     for a in aspects:
-        if not a > 1.0:
-            raise ValueError(f"aspect ratio must exceed 1, got {a}")
+        check_r_max(patterns[0].window, a, r2_grid[-1], "r2")
     if cfg.a not in aspects:
         raise ValueError(f"the configured aspect ratio {cfg.a} is not among {aspects}")
     r_grid = np.linspace(0.0, float(r2_grid[-1]), cfg.grid_points)

@@ -126,13 +126,13 @@ class PlcppSpec:
         if self.axis is None:
             object.__setattr__(self, "axis", np.array([0.0, 0.0, 1.0]))
         object.__setattr__(self, "axis", as_direction(self.axis))
-        if min(self.rho, self.rho_l, self.alpha) <= 0.0:
+        if not all(0.0 < x < math.inf for x in (self.rho, self.rho_l, self.alpha)):
             raise ValueError("intensities must be positive")
         if abs(self.rho - self.rho_l * self.alpha) > 1e-9 * self.rho:
             raise ValueError(
                 f"rho must equal rho_l * alpha, got {self.rho} vs {self.rho_l * self.alpha}"
             )
-        if self.sigma < 0.0:
+        if not 0.0 <= self.sigma < math.inf:
             raise ValueError(f"sigma must be nonnegative, got {self.sigma}")
 
 
@@ -182,7 +182,7 @@ def _uniform_in(rng, lo, hi, count):
 
 def simulate_poisson(rho: float, window: BoxWindow, seed: int) -> PointPattern:
     """Homogeneous Poisson process of intensity ``rho`` in ``window``."""
-    if not rho > 0.0:
+    if not 0.0 < rho < math.inf:
         raise ValueError(f"intensity must be positive, got {rho}")
     rng = replicate_rng(seed)
     n = rng.poisson(rho * window.volume)
@@ -470,7 +470,7 @@ class ModelSpec:
 
     def inner_spec(self):
         if self.kind == "poisson":
-            if not self.rho > 0.0:
+            if not 0.0 < self.rho < math.inf:
                 raise ValueError(f"intensity must be positive, got {self.rho}")
             return self.rho
         if self.kind == "plcpp":

@@ -4,6 +4,7 @@ import concurrent.futures
 import importlib
 import importlib.util
 import json
+import math
 import os
 import subprocess
 import sys
@@ -344,8 +345,9 @@ class TestEstimateCommand:
         assert "out of range" in capsys.readouterr().err
 
     def test_refuses_sliver_below_validity_bound(self, campaign, tmp_path, capsys):
-        # below validity_bound, but the search extent reaches the side
-        sliver = estimate.validity_bound(unit_cube(), 2.0) * (1.0 - 1e-12)
+        # below 1/sqrt(5), where the cone's slant meets the side, but the
+        # search extent reaches the side
+        sliver = (1.0 / math.sqrt(5.0)) * (1.0 - 1e-12)
         out = tmp_path / "x.csv"
         code = run_cli("estimate", "--input", campaign, "--aspect", "2",
                        "--r-max", repr(sliver), "--grid", "8", "--out", out)
@@ -498,7 +500,7 @@ class TestTestAndPowerCommands:
         pats = tmp_path / "pats"
         run_cli("simulate", "--model", "poisson", "--rho", "100", "--m", "2",
                 "--seed", "8", "--out", pats)
-        sliver = estimate.validity_bound(unit_cube(), 2.0) * (1.0 - 1e-12)
+        sliver = (1.0 / math.sqrt(5.0)) * (1.0 - 1e-12)
         out = tmp_path / "test.csv"
         code = run_cli("test", "--input", pats, "--aspect", "2",
                        "--r2-grid", f"0.05,{sliver!r}", "--out", out)
@@ -716,6 +718,19 @@ class TestOptionTable:
          "--input excludes the model flags, got --model, --rho, --m"),
         ("estimate", ["--threads", "-3"], None, "--threads needs at least 1 worker, got -3"),
         ("simulate", [], "threads = 0\n", "--threads needs at least 1 worker, got 0"),
+        # non-finite numbers; a later --model replaces the base's poisson
+        ("power", ["--model", "plcpp", "--rho-l", "200", "--sigma", "nan"], None,
+         "--sigma expects a finite number, got 'nan'"),
+        ("power", ["--model", "plcpp", "--sigma", "0.01"], "rho_l = nan\n",
+         "--rho-l expects a finite number, got 'nan'"),
+        ("test", ["--level", "inf"], None, "--level expects a finite number, got 'inf'"),
+        ("estimate", ["--aspect", "inf"], None, "--aspect expects finite numbers, got 'inf'"),
+        ("power", ["--aspect", "2,inf"], None, "--aspect expects finite numbers, got '2,inf'"),
+        ("test", ["--r2-grid", "0:inf:5"], None,
+         "--r2-grid expects finite numbers, got '0:inf:5'"),
+        ("simulate", ["--seed", "-1"], None, "--seed must be at least 0, got -1"),
+        ("test", ["--seed", "-1"], None, "--seed must be at least 0, got -1"),
+        ("power", [], "seed = -1\n", "--seed must be at least 0, got -1"),
     ])
     def test_bad_value_names_its_flag(self, campaign, tmp_path, capsys, command, extra,
                                       config, message):

@@ -199,6 +199,19 @@ class TestProfiles:
         with pytest.raises(ValueError, match="extent"):
             k_profile(two_point_pattern(), Z_AXIS, "conical", [0.1, 0.5], 2.0)
 
+    @pytest.mark.parametrize("profile", [
+        lambda grid: k_profile(two_point_pattern(), Z_AXIS, "conical", grid, 2.0),
+        lambda grid: pooled_profile([two_point_pattern()] * 2, Z_AXIS, "cylindrical", grid, 2.0),
+    ], ids=["k_profile", "pooled_profile"])
+    def test_refuses_out_of_window_radius_before_any_work(self, monkeypatch, profile):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("pairs were extracted")
+
+        monkeypatch.setattr("aniso3d.estimate.pattern_pairs", unreachable)
+        with pytest.raises(ValueError, match=r"^r_grid entry 0\.6 is out of range for this "
+                           r"window: .* so choose r_grid entry < 0\.447213$"):
+            profile([0.1, 0.6])
+
     def test_kind_validation(self):
         with pytest.raises(ValueError, match="kind"):
             k_profile(two_point_pattern(), Z_AXIS, "spherical", [0.1], 2.0)

@@ -170,6 +170,23 @@ class TestRunTest:
         with pytest.raises(ValueError, match=r"replicates \[1, 3\] have fewer than 2"):
             power_curve_from_patterns(pats, cfg(), [0.06])
 
+    def test_refuses_out_of_window_r2_before_any_work(self, monkeypatch):
+        pats = simulate_campaign(ModelSpec.poisson(100.0), unit_cube(), 3, seed=15)
+
+        def unreachable(*args, **kwargs):
+            raise AssertionError("the sweep started")
+
+        monkeypatch.setattr("aniso3d.isotest.parallel_map", unreachable)
+        monkeypatch.setattr("aniso3d.estimate.pattern_pairs", unreachable)
+        with pytest.raises(ValueError, match=r"^r2 0\.6 is out of range for this window: "
+                           r".* so choose r2 < 0\.447213$"):
+            run_test(pats, cfg(r2=0.6))
+        with pytest.raises(ValueError, match=r"choose r2 < 0\.447213$"):
+            power_curve_from_patterns(pats, cfg(), [0.05, 0.6], threads=2)
+        # every aspect is checked, not only the configured one
+        with pytest.raises(ValueError, match=r"choose r2 < 0\.316227$"):
+            power_curve_from_patterns(pats, cfg(), [0.4], threads=2, aspects=[2.0, 3.0])
+
     def test_columnar_alternative_rejects(self):
         model = ModelSpec.plcpp(500.0, 200.0, 0.001)
         pats = simulate_campaign(model, unit_cube(), 30, seed=6)

@@ -418,6 +418,20 @@ class TestModelSpec:
         model = ModelSpec.plcpp(500.0, 200.0, 0.01)
         assert model.alpha == pytest.approx(2.5)
 
+    @pytest.mark.parametrize("build, message", [
+        (lambda: ModelSpec.plcpp(500.0, math.nan, 0.01), "intensities must be positive"),
+        (lambda: ModelSpec.plcpp(500.0, 200.0, math.nan), "sigma must be nonnegative"),
+        (lambda: ModelSpec.plcpp(500.0, 200.0, math.inf), "sigma must be nonnegative"),
+        (lambda: PlcppSpec(rho=math.nan, rho_l=200.0, alpha=2.5, sigma=0.01),
+         "intensities must be positive"),
+        (lambda: ModelSpec.poisson(math.inf), "intensity must be positive"),
+        (lambda: simulate_poisson(math.inf, unit_cube(), 1), "intensity must be positive"),
+    ], ids=["rho_l nan", "sigma nan", "sigma inf", "spec rho nan", "poisson inf",
+            "simulate_poisson inf"])
+    def test_refuses_non_finite_parameters(self, build, message):
+        with pytest.raises(ValueError, match=message):
+            build()
+
     def test_describe_echoes_parameters(self):
         model = ModelSpec.plcpp(500.0, 200.0, 0.01).compressed(0.9)
         d = model.describe()
