@@ -152,6 +152,9 @@ _OPTIONS = {
 # what --input replaces; --seed stays, because it labels the CSV
 _MODEL_KEYS = ("window", "model", "rho", "rho_l", "alpha", "sigma", "hardcore_r",
                "compress_c", "m")
+# the model flags that only some models take, and those models
+_MODEL_OWN = {"rho_l": ("plcpp",), "alpha": ("plcpp",), "sigma": ("plcpp",),
+              "hardcore_r": ("matern", "packing")}
 
 
 def _flag(name) -> str:
@@ -194,6 +197,11 @@ def _resolve(args, config, name, required=False):
 
 def _model_from(args, config) -> ModelSpec:
     kind = _resolve(args, config, "model", required=True)
+    # config keys of other models stay unread, as next to --input
+    foreign = [_flag(k) for k, models in _MODEL_OWN.items()
+               if kind not in models and getattr(args, k) is not None]
+    if foreign:
+        raise ValueError(f"--model {kind} does not take {', '.join(foreign)}")
     rho = _resolve(args, config, "rho", required=True)
     if kind == "poisson":
         model = ModelSpec.poisson(rho)

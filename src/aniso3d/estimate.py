@@ -126,8 +126,11 @@ def pattern_pairs(pattern: PointPattern, extent: float) -> PatternPairs:
     order = np.lexsort((pts[:, 2], pts[:, 1], pts[:, 0]))
     pts = pts[order]
     i, j = close_pairs(pts, extent)
-    vec = pts[j] - pts[i]
-    weight = 1.0 / np.prod(pattern.window.sides - np.abs(vec), axis=1)
+    vec = pts.take(j, axis=0)
+    vec -= pts.take(i, axis=0)
+    # formed column by column, the order in which ``np.prod(axis=1)`` multiplies
+    (sx, sy, sz), (ax, ay, az) = pattern.window.sides, np.abs(vec).T
+    weight = 1.0 / (((sx - ax) * (sy - ay)) * (sz - az))
     return PatternPairs(vec, _norms(vec), weight)
 
 
@@ -164,7 +167,8 @@ def _check_grid(r_grid) -> np.ndarray:
     r_grid = np.asarray(r_grid, dtype=float)
     if r_grid.ndim != 1:
         raise ValueError("r_grid must be one-dimensional")
-    if r_grid.size and (np.any(np.diff(r_grid) <= 0.0) or r_grid[0] < 0.0):
+    # stated positively, so that NaN fails it
+    if r_grid.size and not (np.all(np.diff(r_grid) > 0.0) and r_grid[0] >= 0.0):
         raise ValueError("r_grid must be strictly ascending and nonnegative")
     return r_grid
 
@@ -238,10 +242,16 @@ def pair_numerators(pairs: PatternPairs, directions, kinds, r_grid, aspects) -> 
     constant-time ``searchsorted`` on evenly spaced grids; accumulating
     ``2 * weight`` there and taking the running sum yields, at every grid
     point, exactly the direct double-sum numerator of the estimator.  The
-    axial and radial parts of the pairs, and the radial grid index, are
-    formed once per direction and shared by every kind and aspect;
-    ``pairs`` must reach `profile_extent` of the largest aspect, and a
-    smaller aspect's elements simply leave the farther pairs out.
+    axial and radial parts of the pairs are formed once per direction.
+    Then the pairs outside the union of the largest elements at the top
+    radius (the cone of the largest slant factor and the smallest
+    ``cos_theta``, the cylinder of the largest aspect) are dropped once,
+    and every kind and aspect works on the rest, in pair order, along
+    with one radial grid index.  Each element's bounds are float products
+    monotone in its slant factor, ``cos_theta`` and aspect, so the union
+    holds every pair of every element, and ``bincount`` adds the same
+    weights in the same order as over the full arrays: no bit changes.
+    ``pairs`` must reach `profile_extent` of the largest aspect.
     """
     directions = [as_direction(u) for u in directions]
     for kind in kinds:
@@ -249,20 +259,30 @@ def pair_numerators(pairs: PatternPairs, directions, kinds, r_grid, aspects) -> 
             raise ValueError(f"kind must be one of {KINDS}, got {kind!r}")
     r_grid = _check_grid(r_grid)
     out = np.empty((len(aspects), len(kinds), len(directions), r_grid.size))
-    if r_grid.size == 0:
+    if out.size == 0:
         return out
     links = [(c.r_cn, c.cos_theta) for _, c in (equal_shape_link(1.0, a) for a in aspects)]
-    weight = 2.0 * pairs.weight
+    r_max = r_grid[-1]
+    scale_max = max(scale for scale, _ in links)
+    cos_min = min(cos_theta for _, cos_theta in links)
     for d, u in enumerate(directions):
         axial_abs, radial = _axial_radial(pairs, u)
+        union = np.zeros(axial_abs.shape, bool)
+        if "conical" in kinds:
+            union |= _cone_mask(pairs.norm, axial_abs, r_max * scale_max, cos_min)
+        if "cylindrical" in kinds:
+            union |= _cylinder_mask(axial_abs, radial, r_max, max(aspects) * r_max)
+        near = np.flatnonzero(union)
+        axial_abs, radial, norm = axial_abs.take(near), radial.take(near), pairs.norm.take(near)
+        weight = 2.0 * pairs.weight.take(near)
         radial_idx = _grid_index(r_grid, radial) if "cylindrical" in kinds else None
         for i, (a, (scale, cos_theta)) in enumerate(zip(aspects, links)):
             for j, kind in enumerate(kinds):
                 if kind == "conical":
-                    keep = _cone_mask(pairs.norm, axial_abs, r_grid[-1] * scale, cos_theta)
-                    idx = _grid_index(r_grid * scale, pairs.norm[keep])
+                    keep = _cone_mask(norm, axial_abs, r_max * scale, cos_theta)
+                    idx = _grid_index(r_grid * scale, norm[keep])
                 else:
-                    keep = _cylinder_mask(axial_abs, radial, r_grid[-1], a * r_grid[-1])
+                    keep = _cylinder_mask(axial_abs, radial, r_max, a * r_max)
                     idx = np.maximum(_grid_index(a * r_grid, axial_abs[keep]),
                                      radial_idx[keep])
                 acc = np.bincount(idx, weights=weight[keep], minlength=r_grid.size)

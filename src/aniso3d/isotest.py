@@ -217,7 +217,7 @@ def _sweep(patterns, cfg: TestConfig, r2_grid, kinds, aspects, include_self: boo
             "needs at least 2 to estimate its intensity"
         )
     r2_grid = np.asarray(r2_grid, dtype=float)
-    if r2_grid.size == 0 or np.any(np.diff(r2_grid) <= 0.0):
+    if r2_grid.size == 0 or not np.all(np.diff(r2_grid) > 0.0):  # NaN fails it
         raise ValueError("r2_grid must be nonempty and strictly ascending")
     if not r2_grid[0] > cfg.r1:
         raise ValueError("every r2 must exceed r1")

@@ -650,6 +650,13 @@ class TestConfigFile:
         config.write_text("model = poisson\nrho = 150\nm = 2\nr2-grid = 0.05\ndirections = z\n")
         assert run_cli("simulate", "--config", config, "--out", tmp_path / "c") == 0
 
+    def test_keys_of_other_models_stay_unread(self, tmp_path):
+        # a plcpp manifest serves a poisson run given by flags
+        config = tmp_path / "run.cfg"
+        config.write_text("model = plcpp\nrho = 300\nrho_l = 100\nsigma = 0.01\nm = 2\n")
+        assert run_cli("simulate", "--config", config, "--model", "poisson",
+                       "--out", tmp_path / "c") == 0
+
     def test_manifest_is_a_config(self, tmp_path):
         flags = ["--model", "plcpp", "--rho", "300", "--rho-l", "100", "--sigma", "0.01",
                  "--compress-c", "0.8", "--m", "3", "--seed", "6",
@@ -731,6 +738,14 @@ class TestOptionTable:
         ("simulate", ["--seed", "-1"], None, "--seed must be at least 0, got -1"),
         ("test", ["--seed", "-1"], None, "--seed must be at least 0, got -1"),
         ("power", [], "seed = -1\n", "--seed must be at least 0, got -1"),
+        # flags of other models, given directly or as another model's flag set
+        ("power", ["--sigma", "nan", "--hardcore-r", "-3"], None,
+         "--model poisson does not take --sigma, --hardcore-r"),
+        ("simulate", ["--model", "packing", "--hardcore-r", "0.05", "--rho-l", "200",
+                      "--alpha", "2.5", "--sigma", "0.01"], None,
+         "--model packing does not take --rho-l, --alpha, --sigma"),
+        ("power", ["--model", "plcpp", "--rho-l", "200", "--sigma", "0.01",
+                   "--hardcore-r", "0.05"], None, "--model plcpp does not take --hardcore-r"),
     ])
     def test_bad_value_names_its_flag(self, campaign, tmp_path, capsys, command, extra,
                                       config, message):

@@ -32,6 +32,8 @@ from aniso3d.geometry import (
     Z_AXIS,
     ConeParams,
     CylinderParams,
+    _cone_mask,
+    _cylinder_mask,
     _norms,
     cone_contains,
     cylinder_contains,
@@ -212,6 +214,18 @@ class TestProfiles:
                            r"window: .* so choose r_grid entry < 0\.447213$"):
             profile([0.1, 0.6])
 
+    @pytest.mark.parametrize("grid", [[np.nan], [np.nan, 0.1], [0.0, 0.05, np.nan, 0.1],
+                                      [0.05, np.nan]])
+    @pytest.mark.parametrize("profile", [
+        lambda grid: k_profile(two_point_pattern(), Z_AXIS, "conical", grid, 2.0),
+        lambda grid: pooled_profile([two_point_pattern()] * 2, Z_AXIS, "cylindrical", grid, 2.0),
+        lambda grid: pair_numerators(pattern_pairs(two_point_pattern(), 0.6), [Z_AXIS],
+                                     ["conical"], grid, [2.0]),
+    ], ids=["k_profile", "pooled_profile", "pair_numerators"])
+    def test_refuses_nan_in_grid(self, profile, grid):
+        with pytest.raises(ValueError, match="^r_grid must be strictly ascending and nonnegative$"):
+            profile(grid)
+
     def test_kind_validation(self):
         with pytest.raises(ValueError, match="kind"):
             k_profile(two_point_pattern(), Z_AXIS, "spherical", [0.1], 2.0)
@@ -355,6 +369,29 @@ DIRECTIONS = st.one_of(
 )
 
 
+def full_mask_numerators(pairs, directions, kinds, r_grid, aspects):
+    """`pair_numerators` as a plain loop: every cell masks the full pair
+    arrays and bins with ``searchsorted``."""
+    out = np.empty((len(aspects), len(kinds), len(directions), len(r_grid)))
+    for d, u in enumerate(directions):
+        axial_abs, radial = _axial_radial(pairs, u)
+        for i, a in enumerate(aspects):
+            _, cone = equal_shape_link(1.0, a)
+            for j, kind in enumerate(kinds):
+                if kind == "conical":
+                    keep = _cone_mask(pairs.norm, axial_abs, r_grid[-1] * cone.r_cn,
+                                      cone.cos_theta)
+                    idx = np.searchsorted(r_grid * cone.r_cn, pairs.norm[keep])
+                else:
+                    keep = _cylinder_mask(axial_abs, radial, r_grid[-1], a * r_grid[-1])
+                    idx = np.maximum(np.searchsorted(a * r_grid, axial_abs[keep]),
+                                     np.searchsorted(r_grid, radial[keep]))
+                acc = np.bincount(idx, weights=2.0 * pairs.weight[keep],
+                                  minlength=len(r_grid))
+                out[i, j, d] = np.cumsum(acc)
+    return out
+
+
 class TestFusedKernel:
     @settings(max_examples=100, deadline=None, derandomize=True)
     @given(vec=arrays(np.float64, st.tuples(st.integers(1, 12), st.just(3)),
@@ -370,6 +407,40 @@ class TestFusedKernel:
             expected = _norms(vec - np.multiply.outer(axial, u))
         assert axial_abs.tobytes() == np.abs(axial).tobytes()
         assert radial.tobytes() == expected.tobytes()
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**32 - 1),
+           aspects=st.lists(st.one_of(st.sampled_from([1.0000001, 1.5, 2.0, 3.0, 20.0]),
+                                      st.floats(1.01, 20.0)), min_size=1, max_size=5),
+           kinds=st.sampled_from([("conical",), ("cylindrical",), ("conical", "cylindrical"),
+                                  ("cylindrical", "conical")]),
+           more=st.lists(DIRECTIONS, max_size=2),
+           r_max=st.floats(0.01, 0.3), n_grid=st.integers(2, 40))
+    def test_matches_full_mask_reference_bits(self, seed, aspects, kinds, more, r_max,
+                                              n_grid):
+        # unsorted and repeated aspects; random pairs plus pairs on and just
+        # past every element's boundary along z, where the union must keep
+        # exactly the pairs of each cell
+        links = [equal_shape_link(1.0, a)[1] for a in aspects]
+        rng = np.random.default_rng(seed)
+        reach = 1.1 * r_max * max(c.r_cn for c in links)
+        rows = [rng.uniform(-reach, reach, (300, 3))]
+        for a, cone in zip(aspects, links):
+            h, slant = a * r_max, r_max * cone.r_cn
+            rows.append([[r_max, 0.0, h], [0.0, 0.0, slant]])
+            # on the cone's mantle, kept where axial == cos_theta * norm in floats
+            norm = slant * np.linspace(0.05, 1.0, 20)
+            z = cone.cos_theta * norm
+            vec = np.column_stack([np.sqrt(np.maximum(norm * norm - z * z, 0.0)), 0.0 * z, z])
+            rows.append(vec[cone.cos_theta * _norms(vec) == z])
+        vec = np.concatenate(rows)
+        vec = np.concatenate([vec, np.nextafter(vec, 2.0 * np.sign(vec))])
+        pairs = PatternPairs(vec, _norms(vec), rng.uniform(0.5, 2.0, len(vec)))
+        grid = np.linspace(0.0, r_max, n_grid)
+        directions = [Z_AXIS] + more
+        got = pair_numerators(pairs, directions, kinds, grid, aspects)
+        want = full_mask_numerators(pairs, directions, kinds, grid, aspects)
+        assert got.tobytes() == want.tobytes()
 
     def test_one_call_matches_single_profiles(self):
         # pairs extracted once at the largest aspect's extent; every aspect,

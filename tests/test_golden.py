@@ -1,0 +1,61 @@
+"""Fixed-seed CLI outputs pinned by their full SHA-256.
+
+Each command runs in a temporary working directory with relative paths,
+because the CSV header echoes ``--input``.  One worker runs where a case
+targets a code path, two where it checks that the worker count changes
+no byte.
+"""
+
+import hashlib
+
+import pytest
+
+from aniso3d.cli import main
+
+PLCPP = ["--model", "plcpp", "--rho", "500", "--rho-l", "200", "--sigma", "0.001"]
+MATERN = ["--model", "matern", "--rho", "500", "--hardcore-r", "0.05", "--compress-c", "0.7"]
+
+
+def run_here(path, monkeypatch, *argv):
+    monkeypatch.chdir(path)
+    assert main([str(a) for a in argv]) == 0
+
+
+def sha256(path):
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+@pytest.fixture(scope="module")
+def campaign_dir(tmp_path_factory):
+    """The m = 60 compressed Matérn campaign, simulated with two workers."""
+    path = tmp_path_factory.mktemp("golden")
+    with pytest.MonkeyPatch.context() as mp:
+        run_here(path, mp, "simulate", *MATERN, "--m", "60", "--seed", "20161",
+                 "--out", "campaign", "--threads", "2")
+    return path
+
+
+def test_columnar_sweep_power(tmp_path, monkeypatch):
+    # four aspects and both kinds: the kernel's union of a cone and a cylinder
+    run_here(tmp_path, monkeypatch, "power", *PLCPP, "--m", "60",
+             "--aspect", "1.5,2,2.5,3", "--r2-grid", "0.002:0.1:25", "--kind", "both",
+             "--seed", "20161", "--out", "power.csv", "--threads", "1")
+    assert sha256(tmp_path / "power.csv") == (
+        "771492ed7b4d0f6641d4b07ecb874793af07b8f3d1bb12c93de72d1ffcdf3004")
+
+
+def test_campaign_estimate(campaign_dir, monkeypatch):
+    # both kinds on two axes, at the default radius grid
+    run_here(campaign_dir, monkeypatch, "estimate", "--input", "campaign", "--aspect", "3",
+             "--directions", "z,x", "--out", "e3.csv", "--threads", "1")
+    assert sha256(campaign_dir / "e3.csv") == (
+        "3b09173a72092ab1b506be45ba27f205e61b934280dd0e04a26bf8f1b04a706c")
+
+
+def test_campaign_conical_test_with_two_workers(campaign_dir, monkeypatch):
+    # one kind, so the union is the cone alone
+    run_here(campaign_dir, monkeypatch, "test", "--input", "campaign", "--kind", "conical",
+             "--aspect", "1.5,2.5", "--r2-grid", "0.02:0.1:25", "--out", "t2.csv",
+             "--threads", "2")
+    assert sha256(campaign_dir / "t2.csv") == (
+        "c5bd2817115674ba0e6888e68a8b6cd2cbfb9ec8a14798ea9b77b65911c795b7")

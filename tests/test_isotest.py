@@ -281,6 +281,12 @@ class TestPowerCurve:
         with pytest.raises(ValueError, match="ascending"):
             power_curve_from_patterns(pats, cfg(), [0.05, 0.05])
 
+    @pytest.mark.parametrize("bounds", [[0.05, np.nan, 0.1], [0.05, 0.1, np.nan]])
+    def test_refuses_nan_bound(self, bounds):
+        pats = simulate_campaign(ModelSpec.poisson(200.0), unit_cube(), 3, seed=10)
+        with pytest.raises(ValueError, match="^r2_grid must be nonempty and strictly ascending$"):
+            power_curve_from_patterns(pats, TestConfig("conical", 2.0, 0.1), bounds)
+
     def test_kind_restriction_gives_nan(self):
         pats = simulate_campaign(ModelSpec.poisson(200.0), unit_cube(), 5, seed=11)
         rows = power_curve_from_patterns(pats, cfg(r2=0.06), [0.06], kinds=("cylindrical",))
