@@ -13,7 +13,7 @@ import numpy as np
 from aniso3d import (
     ModelSpec,
     TestConfig,
-    power_curve,
+    power_curve_from_patterns,
     run_test,
     simulate_campaign,
     unit_cube,
@@ -41,7 +41,8 @@ print(f"poisson control: power={run_test(control, cfg).power:.2f}")
 # Power versus the integration bound, both structuring elements at once
 # ---------------------------------------------------------------------------
 r2_grid = [0.005, 0.01, 0.02, 0.03, 0.04, 0.06, 0.08, 0.1]
-rows = power_curve(model, M, cfg, r2_grid, seed=9)
+campaign = simulate_campaign(model, unit_cube(), M, seed=9)
+rows = power_curve_from_patterns(campaign, cfg, r2_grid)
 print("\nr2      conical  cylindrical")
 for r2, p_cn, p_cl in rows:
     print(f"{r2:<7.3f} {p_cn:^8.2f} {p_cl:^11.2f}")
@@ -50,7 +51,9 @@ for r2, p_cn, p_cl in rows:
 # Longer cylinders help: peak power grows with the aspect ratio
 # ---------------------------------------------------------------------------
 print("\naspect ratio sweep (max cylindrical power over r2)")
-for a in (1.5, 2.0, 3.0):
-    cfg_a = TestConfig(kind="cylindrical", a=a, r2=0.1)
-    rows = power_curve(model, M, cfg_a, r2_grid, seed=9, kinds=("cylindrical",))
-    print(f"  a={a}: {max(r[2] for r in rows):.2f}")
+aspects = (1.5, 2.0, 3.0)
+rows = power_curve_from_patterns(campaign, TestConfig(kind="cylindrical", a=2.0, r2=0.1),
+                                 r2_grid, kinds=("cylindrical",), aspects=aspects)
+n = len(r2_grid)  # one row per (a, r2), aspect-major
+for i, a in enumerate(aspects):
+    print(f"  a={a}: {max(p_cl for _, _, p_cl in rows[i * n:(i + 1) * n]):.2f}")

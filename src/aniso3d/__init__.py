@@ -51,7 +51,6 @@ from .estimate import (
 from .isotest import (
     IsotropyTestResult,
     TestConfig,
-    power_curve,
     power_curve_from_patterns,
     run_test,
     t_xy,
@@ -90,7 +89,6 @@ __all__ = [
     "k_profile",
     "pattern_pairs",
     "pooled_profile",
-    "power_curve",
     "power_curve_from_patterns",
     "replicate_rng",
     "run_test",

@@ -175,6 +175,8 @@ def load_config(path) -> dict:
                 raise ValueError(f"{path}:{lineno}: expected 'key = value', got {line!r}")
             if key not in _OPTIONS:
                 raise ValueError(f"{path}:{lineno}: unknown option {key!r}")
+            if key in out:
+                raise ValueError(f"{path}:{lineno}: option {key!r} is given twice")
             out[key] = value.strip()
     return out
 
@@ -322,16 +324,20 @@ def cmd_power(args, config) -> None:
         if flags:
             raise ValueError(f"--input excludes the model flags, got {', '.join(flags)}")
         patterns = _read_input(source)
+        window = patterns[0].window
         origin = f"input = {source}"
     else:
         model = _model_from(args, config)
         m = _resolve(args, config, "m", required=True)
-        patterns = simulate_campaign(model, _resolve(args, config, "window"), m, seed, threads)
+        sim_window = _resolve(args, config, "window")
+        window = model.replicate_window(sim_window)
         origin = " ".join(f"{k}={v}" for k, v in model.describe().items())
-    m = len(patterns)
-
+    # refused before a campaign is simulated, against the window it will have
     for a in a_list:
-        check_r_max(patterns[0].window, a, r2_list[-1], "--r2-grid entry")
+        check_r_max(window, a, r2_list[-1], "--r2-grid entry")
+    if source is None:
+        patterns = simulate_campaign(model, sim_window, m, seed, threads)
+    m = len(patterns)
     cfg = TestConfig(kind=kinds[0], a=a_list[0], r2=r2_list[-1], alpha_level=level,
                      grid_points=n_grid)
     curve = power_curve_from_patterns(patterns, cfg, r2_list, kinds=kinds,

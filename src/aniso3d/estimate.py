@@ -318,7 +318,8 @@ def ratio_of_sums(replicates) -> np.ndarray:
 
 
 def k_profile(pattern: PointPattern, u, kind: str, r_grid, a: float) -> KProfile:
-    """Estimate one K-function over a grid of cylinder radii.
+    """Estimate one K-function over a grid of cylinder radii: the pool of
+    one pattern, which needs at least 2 points.
 
     Parameters
     ----------
@@ -329,14 +330,8 @@ def k_profile(pattern: PointPattern, u, kind: str, r_grid, a: float) -> KProfile
         radius must stay inside the window (smallest side)
     a : aspect ratio linking the element dimensions to each radius
     """
-    u = as_direction(u)
-    r_grid = _check_grid(r_grid)
-    rho2 = intensity_sq_hat(pattern)
-    if r_grid.size == 0:
-        return KProfile(kind, u, r_grid, np.empty(0), a)
-    check_r_max(pattern.window, a, r_grid[-1], "r_grid entry")
-    num, _ = replicate_numerators(pattern, [u], [kind], r_grid, [a])
-    return KProfile(kind, u, r_grid, num[0, 0, 0] / rho2, a)
+    intensity_sq_hat(pattern)
+    return pooled_profile([pattern], u, kind, r_grid, a)
 
 
 def require_common_window(patterns, what: str) -> None:

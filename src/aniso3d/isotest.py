@@ -9,15 +9,17 @@ directional K-curves through two integrated absolute differences::
 
 Isotropy is rejected for a replicate when its T_z exceeds the empirical
 (1 - alpha) quantile of the T_xy sample; the power of the test is the
-rejected fraction.  Power curves sweep the integration bound r2, and
-optionally the aspect ratio a, on one simulated campaign.  Every
-statistic takes one path, one pool job per replicate: its x, y and z
-profiles of every kind and aspect come from one pair extraction (at the
-largest aspect's extent) and one kernel call on an even grid over
-[0, max r2], their absolute differences are formed once, and one
-trapezoidal rule integrates them up to each bound inside the worker, so
-only the statistics return to the main process, which takes the
-decisions.  `run_test` is the sweep at a single bound and aspect.
+rejected fraction.  `power_curve_from_patterns` sweeps the integration
+bound r2, and optionally the aspect ratio a, on one set of replicates,
+such as a campaign from `simulate_campaign`.  Every statistic takes one
+path, one pool job per replicate: its x, y and z profiles of every kind
+and aspect come from one pair extraction (at the largest aspect's
+extent) and one kernel call on an even grid over [0, max r2], and
+`_statistics`, the one definition of T_xy and T_z, integrates their
+absolute differences up to each bound with one trapezoidal rule inside
+the worker, so only the statistics return to the main process, which
+takes the decisions.  `run_test` is the sweep at a single bound and
+aspect, and `t_xy` and `t_z` apply `_statistics` to one profile triple.
 Windows of different shapes, a replicate with fewer than 2 points, or an
 r2 that `check_r_max` refuses at any aspect raise ValueError up front.
 
@@ -41,7 +43,6 @@ from .estimate import KINDS, check_r_max, replicate_numerators, require_common_w
 from .estimate import pair_numerators  # unused; perfbench/tracecli.py wraps this name
 from .estimate import pattern_pairs  # unused; perfbench/tracecli.py wraps this name
 from .geometry import X_AXIS, Y_AXIS, Z_AXIS
-from .simulate import BoxWindow, ModelSpec, simulate_campaign, unit_cube
 
 __all__ = [
     "TestConfig",
@@ -49,7 +50,6 @@ __all__ = [
     "t_xy",
     "t_z",
     "run_test",
-    "power_curve",
     "power_curve_from_patterns",
 ]
 
@@ -83,8 +83,9 @@ class TestConfig:
             raise ValueError(f"need 0 <= r1 < r2, got r1={self.r1}, r2={self.r2}")
         if not 0.0 < self.alpha_level < 1.0:
             raise ValueError(f"alpha level must be in (0, 1), got {self.alpha_level}")
-        if self.grid_points < 2:
-            raise ValueError(f"need at least 2 grid points, got {self.grid_points}")
+        if not isinstance(self.grid_points, (int, np.integer)) or self.grid_points < 2:
+            raise ValueError(f"need a whole number of at least 2 grid points, "
+                             f"got {self.grid_points}")
 
 
 @dataclass(frozen=True)
@@ -142,27 +143,30 @@ def _integrator(r_grid, y):
     return integrate
 
 
-def _common_grid(profiles) -> np.ndarray:
+def _statistics(sx, sy, sz, r_grid, r1, r2_grid) -> np.ndarray:
+    """T_xy and T_z of x, y and z profiles sampled on ``r_grid`` along their
+    last axis, at every bound of ``r2_grid``: shape (..., 2, bound)."""
+    integrate = _integrator(r_grid, np.abs(np.stack([sx - sy, sx - sz, sy - sz], axis=-2)))
+    t = np.stack([integrate(r1, r2) for r2 in r2_grid], axis=-1)
+    return np.stack([t[..., 0, :], np.minimum(t[..., 1, :], t[..., 2, :])], axis=-2)
+
+
+def _triple_statistics(profiles, cfg: TestConfig) -> np.ndarray:
     first = profiles[0]
     for p in profiles[1:]:
         if p.kind != first.kind or not np.array_equal(p.r_grid, first.r_grid):
             raise ValueError("profiles must share one kind and one r grid")
-    return first.r_grid
+    return _statistics(*(p.values for p in profiles), first.r_grid, cfg.r1, [cfg.r2])[:, 0]
 
 
 def t_xy(profiles, cfg: TestConfig) -> float:
     """Reference statistic: integrated |S_x - S_y| of an (x, y, z) profile triple."""
-    px, py, _ = profiles
-    grid = _common_grid(profiles)
-    return float(_integrator(grid, np.abs(px.values - py.values))(cfg.r1, cfg.r2))
+    return float(_triple_statistics(profiles, cfg)[0])
 
 
 def t_z(profiles, cfg: TestConfig) -> float:
     """Evidence statistic: smaller of integrated |S_x - S_z| and |S_y - S_z|."""
-    px, py, pz = profiles
-    grid = _common_grid(profiles)
-    diffs = np.abs([px.values - pz.values, py.values - pz.values])
-    return float(np.min(_integrator(grid, diffs)(cfg.r1, cfg.r2)))
+    return float(_triple_statistics(profiles, cfg)[1])
 
 
 def _nearest_rank_quantile(values: np.ndarray, q: float) -> float:
@@ -185,17 +189,10 @@ def _decide(txy: np.ndarray, tz: np.ndarray, alpha: float, include_self: bool):
 
 
 def _replicate_statistics(pattern, kinds, aspects, r_grid, r1, r2_grid) -> np.ndarray:
-    """Integrated |S_x - S_y|, |S_x - S_z|, |S_y - S_z| of one replicate at
-    every bound, shape (aspect, kind, 3, bound).
-
-    The x, y and z profiles of every kind and aspect come from one
-    `replicate_numerators` call.
-    """
+    """T_xy and T_z of one replicate at every bound, shape (aspect, kind, 2,
+    bound), from one `replicate_numerators` call."""
     numerators, mass = replicate_numerators(pattern, _AXES, kinds, r_grid, aspects)
-    profiles = numerators / mass
-    sx, sy, sz = np.moveaxis(profiles, 2, 0)
-    integrate = _integrator(r_grid, np.abs(np.stack([sx - sy, sx - sz, sy - sz], axis=2)))
-    return np.stack([integrate(r1, r2) for r2 in r2_grid], axis=-1)
+    return _statistics(*np.moveaxis(numerators / mass, 2, 0), r_grid, r1, r2_grid)
 
 
 def _sweep(patterns, cfg: TestConfig, r2_grid, kinds, aspects, include_self: bool,
@@ -235,14 +232,13 @@ def _sweep(patterns, cfg: TestConfig, r2_grid, kinds, aspects, include_self: boo
                 r1=cfg.r1, r2_grid=r2_grid.tolist()),
         patterns,
         threads,
-    ))  # (replicate, aspect, kind, 3, bound)
+    ))  # (replicate, aspect, kind, 2, bound)
     out = []
     for i in range(len(aspects)):
         for b, r2 in enumerate(r2_grid):
             results = {}
             for k, kind in enumerate(kinds):
-                t = stats[:, i, k, :, b]
-                txy, tz = t[:, 0], np.minimum(t[:, 1], t[:, 2])
+                txy, tz = stats[:, i, k, 0, b], stats[:, i, k, 1, b]
                 threshold, rejections = _decide(txy, tz, cfg.alpha_level, include_self)
                 results[kind] = IsotropyTestResult(txy, tz, threshold, rejections,
                                                    float(rejections.mean()))
@@ -304,28 +300,3 @@ def power_curve_from_patterns(
         for r2, results in _sweep(patterns, cfg_base, r2_grid, tuple(kinds), aspects,
                                   include_self, threads)
     ]
-
-
-def power_curve(
-    model: ModelSpec,
-    m: int,
-    cfg_base: TestConfig,
-    r2_grid,
-    window: BoxWindow = None,
-    seed: int = 0,
-    kinds=KINDS,
-    include_self: bool = True,
-    threads: int = 1,
-):
-    """Simulate ``m`` replicates of ``model`` once and sweep the power.
-
-    See `power_curve_from_patterns` for the sweep semantics; the
-    campaign is keyed by ``seed`` so reruns are reproducible.
-    """
-    if window is None:
-        window = unit_cube()
-    patterns = simulate_campaign(model, window, m, seed, threads)
-    return power_curve_from_patterns(
-        patterns, cfg_base, r2_grid, kinds=kinds,
-        include_self=include_self, threads=threads,
-    )

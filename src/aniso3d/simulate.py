@@ -468,6 +468,12 @@ class ModelSpec:
             raise ValueError("model is already compressed")
         return replace(self, compress_c=c)
 
+    def replicate_window(self, window: BoxWindow) -> BoxWindow:
+        """The window of a replicate simulated in ``window``, mapped by `compress`."""
+        if self.compress_c is None:
+            return window
+        return compress(PointPattern(np.empty((0, 3)), window), self.compress_c).window
+
     def inner_spec(self):
         if self.kind == "poisson":
             if not 0.0 < self.rho < math.inf:

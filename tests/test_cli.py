@@ -509,6 +509,21 @@ class TestTestAndPowerCommands:
         assert "error: --r2-grid entry 0.447214 is out of range" in err
         assert "choose --r2-grid entry < 0.447213" in err
 
+    def test_power_refuses_r2_before_simulating(self, tmp_path, capsys, monkeypatch):
+        # checked against the compressed window: its smallest side is 0.7
+        def unreachable(*args, **kwargs):
+            raise AssertionError("the campaign was simulated")
+
+        monkeypatch.setattr("aniso3d.cli.simulate_campaign", unreachable)
+        out = tmp_path / "power.csv"
+        code = run_cli("power", "--model", "packing", "--rho", "500", "--hardcore-r", "0.05",
+                       "--compress-c", "0.7", "--m", "64", "--r2-grid", "0.02,0.6",
+                       "--out", out)
+        assert code == 1 and not out.exists()
+        err = capsys.readouterr().err
+        assert "error: --r2-grid entry 0.6 is out of range" in err
+        assert "choose --r2-grid entry < 0.313049" in err
+
     def test_aspect_sweep_rows(self, tmp_path):
         out = tmp_path / "sweep.csv"
         code = run_cli(
@@ -643,6 +658,14 @@ class TestConfigFile:
                        "--out", tmp_path / "x")
         assert code == 1
         assert f"error: {config}:2: unknown option 'rhoo'" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
+    def test_key_given_twice_names_its_line(self, tmp_path, capsys):
+        config = tmp_path / "run.cfg"
+        config.write_text("model = poisson\nrho = 100\nm = 1\nrho = 300\n")
+        code = run_cli("simulate", "--config", config, "--out", tmp_path / "x")
+        assert code == 1
+        assert f"error: {config}:4: option 'rho' is given twice" in capsys.readouterr().err
         assert not (tmp_path / "x").exists()
 
     def test_keys_of_other_commands_are_accepted(self, tmp_path):

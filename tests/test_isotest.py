@@ -9,7 +9,6 @@ from aniso3d.geometry import X_AXIS, Y_AXIS, Z_AXIS
 from aniso3d.isotest import (
     IsotropyTestResult,
     TestConfig,
-    power_curve,
     power_curve_from_patterns,
     run_test,
     t_xy,
@@ -114,6 +113,15 @@ class TestConfigValidation:
             TestConfig(kind="conical", a=2.0, r2=0.05, grid_points=1)
         with pytest.raises(ValueError, match="kind"):
             TestConfig(kind="ball", a=2.0, r2=0.05)
+
+    @pytest.mark.parametrize("points", [2.5, 64.0, "64"])
+    def test_refuses_non_integral_grid_points(self, points):
+        with pytest.raises(ValueError, match="whole number of at least 2 grid points"):
+            TestConfig(kind="conical", a=2.0, r2=0.05, grid_points=points)
+
+    def test_accepts_numpy_integer_grid_points(self):
+        c = TestConfig(kind="conical", a=2.0, r2=0.05, grid_points=np.int64(64))
+        assert c.grid_points == 64
 
 
 class TestRunTest:
@@ -264,14 +272,16 @@ class TestPowerCurve:
     def test_deterministic_campaign(self):
         model = ModelSpec.plcpp(500.0, 200.0, 0.01)
         c = TestConfig(kind="conical", a=2.0, r2=0.05)
-        one = power_curve(model, 12, c, [0.02, 0.05], seed=8)
-        two = power_curve(model, 12, c, [0.02, 0.05], seed=8)
+        one = power_curve_from_patterns(simulate_campaign(model, unit_cube(), 12, 8), c,
+                                        [0.02, 0.05])
+        two = power_curve_from_patterns(simulate_campaign(model, unit_cube(), 12, 8), c,
+                                        [0.02, 0.05])
         assert one == two
 
     def test_poisson_curve_stays_near_level(self):
-        rows = power_curve(
-            ModelSpec.poisson(500.0), 100,
-            cfg(r2=0.1), [0.04, 0.06, 0.08, 0.1], seed=9,
+        rows = power_curve_from_patterns(
+            simulate_campaign(ModelSpec.poisson(500.0), unit_cube(), 100, 9),
+            cfg(r2=0.1), [0.04, 0.06, 0.08, 0.1],
         )
         for _, p_cn, p_cl in rows:
             assert p_cn <= 0.1 and p_cl <= 0.1

@@ -405,6 +405,9 @@ class TestModelSpec:
         p = simulate_model(model, unit_cube(), (5, 0))
         assert p.n == 500
         assert p.window.hi[2] == pytest.approx(0.7)
+        window = model.replicate_window(unit_cube())
+        assert np.array_equal(window.lo, p.window.lo) and np.array_equal(window.hi, p.window.hi)
+        assert ModelSpec.packing(500.0, 0.05).replicate_window(p.window) is p.window
 
     def test_no_double_compression(self):
         with pytest.raises(ValueError, match="compressed"):
