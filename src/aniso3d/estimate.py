@@ -345,23 +345,15 @@ def require_common_window(patterns, what: str) -> None:
             )
 
 
-def pooled_profile(
-    patterns, u, kind: str, r_grid, a: float, method: str = "ratio-of-sums"
-) -> KProfile:
-    """Pool one K-function over replicated patterns.
-
-    The default ratio-of-sums estimate divides the summed edge-weighted
-    pair counts by the summed ``rho2_hat`` mass, so replicates with more
-    points carry more weight and replicates with fewer than 2 points add
-    nothing; ``method="mean-of-ratios"`` instead averages the
-    per-replicate estimates (for sensitivity checks), and needs at least
-    2 points in every replicate.
+def pooled_profile(patterns, u, kind: str, r_grid, a: float) -> KProfile:
+    """Pool one K-function over replicated patterns by ratio of sums, the
+    one pooling rule: the summed edge-weighted pair counts over the summed
+    ``rho2_hat`` mass, so replicates with more points carry more weight and
+    replicates with fewer than 2 points add nothing.
     """
     patterns = list(patterns)
     if not patterns:
         raise ValueError("need at least one pattern to pool")
-    if method not in ("ratio-of-sums", "mean-of-ratios"):
-        raise ValueError(f"unknown pooling method {method!r}")
     u = as_direction(u)
     r_grid = _check_grid(r_grid)
     require_common_window(patterns, "pooled patterns")
@@ -369,14 +361,7 @@ def pooled_profile(
         return KProfile(kind, u, r_grid, np.empty(0), a)
     check_r_max(patterns[0].window, a, r_grid[-1], "r_grid entry")
     replicates = (replicate_numerators(p, [u], [kind], r_grid, [a]) for p in patterns)
-    if method == "ratio-of-sums":
-        values = ratio_of_sums(replicates)[0, 0, 0]
-    else:
-        ratios = np.zeros(r_grid.size)
-        for p, (num, _) in zip(patterns, replicates):
-            ratios += num[0, 0, 0] / intensity_sq_hat(p)
-        values = ratios / len(patterns)
-    return KProfile(kind, u, r_grid, values, a)
+    return KProfile(kind, u, r_grid, ratio_of_sums(replicates)[0, 0, 0], a)
 
 
 def default_r_grid(window: BoxWindow, a: float, n: int = 512) -> np.ndarray:
@@ -384,4 +369,5 @@ def default_r_grid(window: BoxWindow, a: float, n: int = 512) -> np.ndarray:
 
     There the cone's slant meets the smallest window side, the bound of
     `check_r_max` up to its 1e-9 slack, so the grid always passes it."""
-    return np.linspace(0.0, 0.45 * (float(np.min(window.sides)) / math.sqrt(a * a + 1.0)), n)
+    _, cone = equal_shape_link(1.0, a)
+    return np.linspace(0.0, 0.45 * (float(np.min(window.sides)) / cone.r_cn), n)

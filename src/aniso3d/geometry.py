@@ -209,14 +209,17 @@ def equal_shape_link(r_cl: float, a: float) -> tuple[CylinderParams, ConeParams]
     faces.
 
     Requires ``a > 1``: an elongated cylinder, so the element prefers its
-    axis direction.
+    axis direction; and ``a^2`` finite, so the slant factor exists.
     """
     if not r_cl > 0.0:
         raise ValueError(f"cylinder radius must be positive, got {r_cl}")
     if not a > 1.0:
         raise ValueError(f"aspect ratio must exceed 1, got {a}")
+    slant = math.sqrt(a * a + 1.0)
+    if math.isinf(slant):
+        raise ValueError(f"aspect ratio {a} is too large: a^2 overflows")
     h = a * r_cl
-    r_cn = r_cl * math.sqrt(a * a + 1.0)
+    r_cn = r_cl * slant
     theta = math.atan2(1.0, a)
     return CylinderParams(r_cl=r_cl, h=h), ConeParams(r_cn=r_cn, theta=theta)
 

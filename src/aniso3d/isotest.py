@@ -175,19 +175,6 @@ def _nearest_rank_quantile(values: np.ndarray, q: float) -> float:
     return float(srt[rank - 1])
 
 
-def _decide(txy: np.ndarray, tz: np.ndarray, alpha: float, include_self: bool):
-    m = len(txy)
-    threshold = _nearest_rank_quantile(txy, 1.0 - alpha)
-    if include_self:
-        rejections = tz > threshold
-    else:
-        rejections = np.array(
-            [tz[i] > _nearest_rank_quantile(np.delete(txy, i), 1.0 - alpha)
-             for i in range(m)]
-        )
-    return threshold, rejections
-
-
 def _replicate_statistics(pattern, kinds, aspects, r_grid, r1, r2_grid) -> np.ndarray:
     """T_xy and T_z of one replicate at every bound, shape (aspect, kind, 2,
     bound), from one `replicate_numerators` call."""
@@ -195,8 +182,7 @@ def _replicate_statistics(pattern, kinds, aspects, r_grid, r1, r2_grid) -> np.nd
     return _statistics(*np.moveaxis(numerators / mass, 2, 0), r_grid, r1, r2_grid)
 
 
-def _sweep(patterns, cfg: TestConfig, r2_grid, kinds, aspects, include_self: bool,
-           threads: int):
+def _sweep(patterns, cfg: TestConfig, r2_grid, kinds, aspects, threads: int):
     """One ``(r2, {kind: IsotropyTestResult})`` pair per aspect of
     ``aspects`` and bound of ``r2_grid``, aspect-major.
 
@@ -239,33 +225,31 @@ def _sweep(patterns, cfg: TestConfig, r2_grid, kinds, aspects, include_self: boo
             results = {}
             for k, kind in enumerate(kinds):
                 txy, tz = stats[:, i, k, 0, b], stats[:, i, k, 1, b]
-                threshold, rejections = _decide(txy, tz, cfg.alpha_level, include_self)
+                threshold = _nearest_rank_quantile(txy, 1.0 - cfg.alpha_level)
+                rejections = tz > threshold
                 results[kind] = IsotropyTestResult(txy, tz, threshold, rejections,
                                                    float(rejections.mean()))
             out.append((float(r2), results))
     return out
 
 
-def run_test(patterns, cfg: TestConfig, include_self: bool = True,
-             threads: int = 1) -> IsotropyTestResult:
+def run_test(patterns, cfg: TestConfig, *, threads: int = 1) -> IsotropyTestResult:
     """Run the isotropy test on replicated patterns.
 
     Estimates per-replicate profiles along the coordinate axes on an
     even grid over [0, r2], forms the statistics, and rejects replicate
     ``i`` when its T_z strictly exceeds the empirical (1 - alpha)
     quantile (nearest rank) of the T_xy sample, so ties never reject.
-    ``include_self=False`` drops replicate ``i`` from its own reference
-    sample, which shifts the power only by O(1/m).  This is the power
-    sweep at the single bound ``cfg.r2`` for the single kind ``cfg.kind``,
-    and it rejects the same degenerate input.
+    That is the test's one decision rule.  This is the power sweep at the
+    single bound ``cfg.r2`` for the single kind ``cfg.kind``, and it
+    rejects the same degenerate input.
 
     The rule is conservative: since T_z is the smaller of two statistics
     that are each calibrated against the T_xy quantile, the null rejection
     rate is at most ``alpha_level`` and usually well below it (about 0.01
     at ``alpha_level=0.05`` for 500 Poisson replicates in the unit cube).
     """
-    [(_, results)] = _sweep(patterns, cfg, [cfg.r2], (cfg.kind,), (cfg.a,),
-                            include_self, threads)
+    [(_, results)] = _sweep(patterns, cfg, [cfg.r2], (cfg.kind,), (cfg.a,), threads)
     return results[cfg.kind]
 
 
@@ -274,7 +258,7 @@ def power_curve_from_patterns(
     cfg_base: TestConfig,
     r2_grid,
     kinds=KINDS,
-    include_self: bool = True,
+    *,
     threads: int = 1,
     aspects=None,
 ):
@@ -287,16 +271,17 @@ def power_curve_from_patterns(
     absolute differences are integrated up to each bound with the rule of
     `run_test` inside the worker that holds the replicate, so neighbouring
     bounds and aspects share all randomness and only the statistics travel
-    back.  ``cfg_base`` supplies ``r1``, ``alpha_level`` and
-    ``grid_points``; its aspect ratio ``a`` is swept alone when
-    ``aspects`` is None and must be one of ``aspects`` otherwise.  Returns
-    one ``(r2, power_conical, power_cylindrical)`` row per aspect and
-    bound, aspect-major (a power is NaN when its kind was not requested).
+    back, where each replicate is decided by `run_test`'s one rule.
+    ``cfg_base`` supplies ``r1``, ``alpha_level`` and ``grid_points``; its
+    aspect ratio ``a`` is swept alone when ``aspects`` is None and must be
+    one of ``aspects`` otherwise.  ``threads`` and ``aspects`` are
+    keyword-only.  Returns one ``(r2, power_conical, power_cylindrical)``
+    row per aspect and bound, aspect-major (a power is NaN when its kind
+    was not requested).
     """
     if aspects is None:
         aspects = (cfg_base.a,)
     return [
         (r2, *(results[kind].power if kind in results else math.nan for kind in KINDS))
-        for r2, results in _sweep(patterns, cfg_base, r2_grid, tuple(kinds), aspects,
-                                  include_self, threads)
+        for r2, results in _sweep(patterns, cfg_base, r2_grid, tuple(kinds), aspects, threads)
     ]

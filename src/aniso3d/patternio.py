@@ -33,12 +33,14 @@ def write_pattern(path, pattern: PointPattern, comments=()) -> None:
 
 
 def read_pattern(path) -> PointPattern:
-    """Read one pattern file, reporting the line number of any bad content.
+    """Read one pattern file, reporting the line number of any bad content,
+    and the file of a bad point set (duplicates, or points outside).
 
     The file is read once, and all its numbers are parsed by one
     ``np.array(..., dtype=float)``, which reads each token exactly as
-    ``float`` does.  Only when the layout, the parse or the finiteness
-    check fails are the lines walked, to name the first bad one.
+    ``float`` does.  Only when the layout, the parse, the finiteness
+    check or the window fails are the lines walked, to name the first bad
+    one.
     """
     with open(path) as fh:
         lines = fh.readlines()
@@ -52,8 +54,14 @@ def read_pattern(path) -> PointPattern:
             pass
     if values is None or not np.isfinite(values).all():
         _raise_first_bad_line(path, lines)
-    window = BoxWindow(values[0:6:2], values[1:6:2])
-    return PointPattern(values[6:].reshape(-1, 3), window)
+    try:
+        window = BoxWindow(values[0:6:2], values[1:6:2])
+    except ValueError:
+        _raise_first_bad_line(path, lines)  # the walk names the window's line
+    try:
+        return PointPattern(values[6:].reshape(-1, 3), window)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def _raise_first_bad_line(path, lines):
@@ -86,7 +94,10 @@ def _raise_first_bad_line(path, lines):
         if not np.isfinite(values).all():
             raise ValueError(f"{path}:{lineno}: non-finite {what} {line!r}")
         if what == "window bounds":  # an empty window is reported before later lines
-            BoxWindow(values[0::2], values[1::2])
+            try:
+                BoxWindow(values[0::2], values[1::2])
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: {exc}") from None
     raise ValueError(f"{path}: missing window line")
 
 

@@ -27,6 +27,9 @@ from aniso3d.patternio import read_pattern, read_patterns, write_pattern
 from aniso3d.simulate import BoxWindow, PointPattern, simulate_poisson, unit_cube
 
 
+EMPTY_WINDOW = "window must have positive extent, got lo=[0. 1. 0.], hi=[1. 0. 1.]"
+
+
 class TestPatternFiles:
     def test_round_trip_exact(self, tmp_path):
         pattern = simulate_poisson(200.0, unit_cube(), 55)
@@ -127,8 +130,28 @@ class TestPatternFiles:
     def test_empty_window_reported_before_later_lines(self, tmp_path):
         path = tmp_path / "bad.txt"
         path.write_text("window 0 1 1 0 0 1\n0.1 oops 0.3\n")
-        with pytest.raises(ValueError, match="window must have positive extent"):
+        with pytest.raises(ValueError) as info:
             read_pattern(path)
+        assert str(info.value) == f"{path}:1: {EMPTY_WINDOW}"
+
+    def test_empty_window_in_good_layout_reports_line(self, tmp_path):
+        path = tmp_path / "bad.txt"
+        path.write_text("# header\nwindow 0 1 1 0 0 1\n0.1 0.2 0.3\n")
+        with pytest.raises(ValueError) as info:
+            read_pattern(path)
+        assert str(info.value) == f"{path}:2: {EMPTY_WINDOW}"
+
+    @pytest.mark.parametrize("points, message", [
+        ("0.1 0.2 0.3\n0.4 0.5 0.6\n0.1 0.2 0.3\n",
+         "point pattern must be simple (no duplicate points)"),
+        ("0.1 0.2 0.3\n0.4 1.5 0.6\n", "all points must lie inside the closed window"),
+    ])
+    def test_bad_point_set_names_file(self, tmp_path, points, message):
+        path = tmp_path / "bad.txt"
+        path.write_text("window 0 1 0 1 0 1\n" + points)
+        with pytest.raises(ValueError) as info:
+            read_pattern(path)
+        assert str(info.value) == f"{path}: {message}"
 
     def test_only_comments_is_missing_window(self, tmp_path):
         path = tmp_path / "bad.txt"
@@ -408,6 +431,26 @@ class TestEstimateCommand:
         assert code == 1
         assert message in capsys.readouterr().err
         assert not out.exists()
+
+    def test_bad_file_among_inputs_is_named(self, tmp_path, capsys):
+        good, bad = tmp_path / "a.txt", tmp_path / "bad.txt"
+        write_pattern(good, simulate_poisson(50.0, unit_cube(), 1))
+        bad.write_text("window 0 1 0 1 0 1\n0.1 0.2 0.3\n0.1 0.2 0.3\n")
+        out = tmp_path / "x.csv"
+        code = run_cli("estimate", "--input", f"{good},{bad}", "--r-max", "0.1", "--out", out)
+        assert code == 1 and not out.exists()
+        assert (f"error: {bad}: point pattern must be simple (no duplicate points)"
+                in capsys.readouterr().err)
+
+    @pytest.mark.parametrize("argv", [
+        ("estimate", "--r-max", "0.1"), ("estimate",),
+        ("power", "--r2-grid", "0.01"), ("test", "--r2-grid", "0.01"),
+    ])
+    def test_refuses_aspect_whose_square_overflows(self, campaign, tmp_path, capsys, argv):
+        out = tmp_path / "x.csv"
+        code = run_cli(*argv, "--input", campaign, "--aspect", "1e200", "--out", out)
+        assert code == 1 and not out.exists()
+        assert "error: aspect ratio 1e+200 is too large: a^2 overflows" in capsys.readouterr().err
 
     def test_window_mismatch(self, tmp_path, capsys):
         d = tmp_path / "mix"

@@ -251,15 +251,6 @@ class TestPooling:
         pooled = pooled_profile([pattern, pattern], Y_AXIS, "conical", grid, 2.0)
         npt.assert_allclose(pooled.values, solo.values, rtol=1e-14)
 
-    def test_mean_of_ratios_agrees_for_identical_replicates(self):
-        pattern = simulate_poisson(300.0, unit_cube(), 27)
-        grid = np.linspace(0.0, 0.08, 16)
-        ros = pooled_profile([pattern, pattern], Z_AXIS, "conical", grid, 2.0)
-        mor = pooled_profile(
-            [pattern, pattern], Z_AXIS, "conical", grid, 2.0, method="mean-of-ratios"
-        )
-        npt.assert_allclose(mor.values, ros.values, rtol=1e-12)
-
     def test_window_mismatch(self):
         a = simulate_poisson(100.0, unit_cube(), 28)
         b = simulate_poisson(100.0, BoxWindow(np.zeros(3), 2 * np.ones(3)), 29)
@@ -279,9 +270,6 @@ class TestPooling:
             dense = pooled_profile(pats, Z_AXIS, kind, grid, 2.0)
             mixed = pooled_profile([sparse[0], *pats, sparse[1]], Z_AXIS, kind, grid, 2.0)
             npt.assert_array_equal(mixed.values, dense.values)
-            with pytest.raises(ValueError, match="need at least 2 points"):
-                pooled_profile(pats + sparse[1:], Z_AXIS, kind, grid, 2.0,
-                               method="mean-of-ratios")
 
     def test_only_sparse_replicates_have_no_pairs(self):
         lone = PointPattern([[0.5, 0.5, 0.5]], unit_cube())

@@ -1,6 +1,7 @@
 """Tests for structuring elements, volumes, and parametrization links."""
 
 import math
+import re
 
 import numpy as np
 import numpy.testing as npt
@@ -261,6 +262,14 @@ class TestEqualShapeLink:
     def test_rejects_flat_aspect(self):
         with pytest.raises(ValueError, match="aspect"):
             equal_shape_link(1.0, 1.0)
+
+    @pytest.mark.parametrize("a", [1e200, math.inf])
+    def test_rejects_aspect_whose_square_overflows(self, a):
+        message = f"aspect ratio {a} is too large: a^2 overflows"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            equal_shape_link(1.0, a)
+        _, cone = equal_shape_link(1.0, 1.3e154)  # the square is still finite
+        assert cone.r_cn == math.sqrt(1.3e154 * 1.3e154 + 1.0)
 
 
 class TestDirectionSet:

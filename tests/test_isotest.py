@@ -3,12 +3,17 @@
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from aniso3d.estimate import KProfile
 from aniso3d.geometry import X_AXIS, Y_AXIS, Z_AXIS
 from aniso3d.isotest import (
     IsotropyTestResult,
     TestConfig,
+    _nearest_rank_quantile,
+    _statistics,
+    _sweep,
     power_curve_from_patterns,
     run_test,
     t_xy,
@@ -154,12 +159,6 @@ class TestRunTest:
         if np.all(res.t_z <= res.threshold):
             assert res.power == 0.0
 
-    def test_exclude_self_close_to_default(self):
-        pats = simulate_campaign(ModelSpec.poisson(300.0), unit_cube(), 40, seed=5)
-        a = run_test(pats, cfg(r2=0.06))
-        b = run_test(pats, cfg(r2=0.06), include_self=False)
-        assert abs(a.power - b.power) <= 0.1
-
     def test_rejects_mixed_window_shapes(self):
         pats = simulate_campaign(ModelSpec.poisson(300.0), unit_cube(), 4, seed=12)
         big = BoxWindow(np.zeros(3), np.full(3, 2.0))
@@ -195,6 +194,12 @@ class TestRunTest:
         with pytest.raises(ValueError, match=r"choose r2 < 0\.316227$"):
             power_curve_from_patterns(pats, cfg(), [0.4], threads=2, aspects=[2.0, 3.0])
 
+    def test_refuses_aspect_whose_square_overflows(self):
+        pats = simulate_campaign(ModelSpec.poisson(100.0), unit_cube(), 2, seed=16)
+        with pytest.raises(ValueError,
+                           match=r"^aspect ratio 1e\+200 is too large: a\^2 overflows$"):
+            run_test(pats, TestConfig(kind="conical", a=1e200, r2=0.01))
+
     def test_columnar_alternative_rejects(self):
         model = ModelSpec.plcpp(500.0, 200.0, 0.001)
         pats = simulate_campaign(model, unit_cube(), 30, seed=6)
@@ -220,10 +225,9 @@ class TestPowerCurve:
             (0.01, 0.1, 0.15), (0.02, 0.3, 0.2), (0.04, 0.65, 0.25),
             (0.07, 1.0, 0.9), (0.1, 1.0, 0.9),
         ]
-        rows = power_curve_from_patterns(pats, cfg(r2=0.1, r1=0.005), bounds,
-                                         include_self=False)
+        rows = power_curve_from_patterns(pats, cfg(r2=0.1, r1=0.005), bounds)
         assert rows == [
-            (0.01, 0.1, 0.15), (0.02, 0.2, 0.1), (0.04, 0.45, 0.25),
+            (0.01, 0.1, 0.25), (0.02, 0.3, 0.2), (0.04, 0.65, 0.25),
             (0.07, 1.0, 0.9), (0.1, 1.0, 0.9),
         ]
 
@@ -231,15 +235,12 @@ class TestPowerCurve:
         # one pair extraction at the largest aspect serves the smaller ones
         pats = simulate_campaign(ModelSpec.plcpp(300.0, 100.0, 0.02), unit_cube(), 20, seed=21)
         bounds = [0.01, 0.03, 0.06]
-        for base, include_self in ((cfg(r2=0.06), True),
-                                   (cfg(r2=0.06, r1=0.005), False)):
-            rows = power_curve_from_patterns(pats, base, bounds, include_self=include_self,
-                                             aspects=[1.5, 3, 2])
+        for base in (cfg(r2=0.06), cfg(r2=0.06, r1=0.005)):
+            rows = power_curve_from_patterns(pats, base, bounds, aspects=[1.5, 3, 2])
             singles = []
             for a in (1.5, 3.0, 2.0):
                 singles += power_curve_from_patterns(
-                    pats, TestConfig(kind="conical", a=a, r2=0.06, r1=base.r1), bounds,
-                    include_self=include_self)
+                    pats, TestConfig(kind="conical", a=a, r2=0.06, r1=base.r1), bounds)
             assert rows == singles
 
     def test_pinned_aspect_sweep_table(self):
@@ -253,11 +254,11 @@ class TestPowerCurve:
             (0.01, 0.1, 0.15), (0.03, 0.5, 0.15), (0.06, 0.9, 0.85),
         ]
         rows = power_curve_from_patterns(pats, cfg(r2=0.06, r1=0.005), bounds,
-                                         include_self=False, aspects=[1.5, 3, 2])
+                                         aspects=[1.5, 3, 2])
         assert rows == [
-            (0.01, 0.05, 0.0), (0.03, 0.1, 0.0), (0.06, 0.6, 0.35),
-            (0.01, 0.1, 0.05), (0.03, 0.3, 0.35), (0.06, 1.0, 0.95),
-            (0.01, 0.1, 0.15), (0.03, 0.4, 0.15), (0.06, 0.8, 0.7),
+            (0.01, 0.05, 0.05), (0.03, 0.1, 0.05), (0.06, 0.7, 0.4),
+            (0.01, 0.25, 0.2), (0.03, 0.6, 0.4), (0.06, 1.0, 1.0),
+            (0.01, 0.1, 0.25), (0.03, 0.45, 0.15), (0.06, 0.9, 0.85),
         ]
 
     def test_rejects_bad_aspect_lists(self):
@@ -301,3 +302,99 @@ class TestPowerCurve:
         pats = simulate_campaign(ModelSpec.poisson(200.0), unit_cube(), 5, seed=11)
         rows = power_curve_from_patterns(pats, cfg(r2=0.06), [0.06], kinds=("cylindrical",))
         assert np.isnan(rows[0][1]) and not np.isnan(rows[0][2])
+
+
+def trapezoid_oracle(r_grid, y, r1, r2):
+    """`np.trapezoid` of ``y``'s interpolant over the knots r1, the grid knots
+    strictly inside (r1, r2), and r2."""
+    knots = np.concatenate([[r1], r_grid[(r_grid > r1) & (r_grid < r2)], [r2]])
+    return np.trapezoid(np.interp(knots, r_grid, y), knots)
+
+
+@st.composite
+def profiles_and_bounds(draw):
+    """x, y and z profiles on an even or uneven grid of 2-700 points, r1 at
+    the grid's start, on a knot or between knots, and ascending bounds above
+    it, some on knots and the last one possibly at the grid's end."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.one_of(st.sampled_from([2, 3]), st.integers(4, 700)))
+    top = draw(st.floats(1e-3, 10.0))
+    if draw(st.booleans()):
+        grid = np.linspace(0.0, top, n)
+    else:
+        grid = top * np.concatenate([[0.0], np.cumsum(rng.uniform(0.01, 1.0, n - 1))])
+    profiles = np.cumsum(rng.uniform(0.0, 1.0, (3, n)), axis=1)
+    r1 = draw(st.sampled_from([grid[0], grid[rng.integers(n - 1)],
+                               rng.uniform(grid[0], grid[-1])]))
+    above = grid[grid > r1]
+    candidates = np.concatenate([rng.uniform(r1, grid[-1], 4), rng.choice(above, 2),
+                                 [grid[-1]]])
+    bounds = np.unique(candidates[candidates > r1])
+    return profiles, grid, float(r1), bounds.tolist()
+
+
+# config, bounds, kinds and aspects of the invariance properties' sweeps
+SWEEP = (TestConfig(kind="conical", a=2.0, r2=0.1, r1=0.005, grid_points=64),
+         [0.02, 0.05, 0.1], ("conical", "cylindrical"), [1.5, 2.0])
+
+
+@pytest.fixture(scope="module")
+def permutation_reference():
+    pats = simulate_campaign(ModelSpec.plcpp(300.0, 100.0, 0.02), unit_cube(), 8, seed=22)
+    return pats, _sweep(pats, *SWEEP, threads=1)
+
+
+class TestExactOracles:
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(case=profiles_and_bounds())
+    def test_statistics_are_trapezoids_of_interpolants(self, case):
+        (sx, sy, sz), grid, r1, bounds = case
+        stats = _statistics(sx, sy, sz, grid, r1, bounds)
+        for b, r2 in enumerate(bounds):
+            xz = trapezoid_oracle(grid, np.abs(sx - sz), r1, r2)
+            yz = trapezoid_oracle(grid, np.abs(sy - sz), r1, r2)
+            assert stats[0, b] == trapezoid_oracle(grid, np.abs(sx - sy), r1, r2)
+            assert stats[1, b] == min(xz, yz)
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**32 - 1), m=st.integers(2, 1000),
+           distinct=st.sampled_from([2, 5, 50, None]),
+           q=st.one_of(st.sampled_from([0.5, 0.9, 0.95, 0.99]),
+                       st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)))
+    def test_threshold_is_inverted_cdf_quantile(self, seed, m, distinct, q):
+        rng = np.random.default_rng(seed)
+        values = rng.random(m) if distinct is None else rng.integers(0, distinct, m) / 7.0
+        assert _nearest_rank_quantile(values, q) == np.quantile(values, q,
+                                                                method="inverted_cdf")
+
+    @settings(max_examples=20, deadline=None, derandomize=True)
+    @given(order=st.permutations(range(8)))
+    def test_permuting_replicates_permutes_statistics(self, permutation_reference, order):
+        pats, base = permutation_reference
+        moved = _sweep([pats[i] for i in order], *SWEEP, threads=1)
+        for (r2, results), (r2_moved, results_moved) in zip(base, moved):
+            assert r2 == r2_moved
+            for kind, res in results.items():
+                got = results_moved[kind]
+                assert got.t_xy.tobytes() == res.t_xy[order].tobytes()
+                assert got.t_z.tobytes() == res.t_z[order].tobytes()
+                assert got.rejections.tolist() == res.rejections[order].tolist()
+                assert got.threshold == res.threshold and got.power == res.power
+
+    @settings(max_examples=15, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**32 - 1), poisson=st.booleans(),
+           sides=st.tuples(*[st.floats(0.5, 1.5)] * 3))
+    def test_swapping_x_and_y_keeps_statistics(self, seed, poisson, sides):
+        window = BoxWindow(np.zeros(3), np.array(sides))
+        model = ModelSpec.poisson(300.0) if poisson else ModelSpec.plcpp(300.0, 100.0, 0.02)
+        pats = simulate_campaign(model, window, 4, seed=seed)
+        swap = [1, 0, 2]
+        mirrored = [PointPattern(p.points[:, swap],
+                                 BoxWindow(p.window.lo[swap], p.window.hi[swap]))
+                    for p in pats]
+        for (_, results), (_, mirrored_results) in zip(_sweep(pats, *SWEEP, threads=1),
+                                                       _sweep(mirrored, *SWEEP, threads=1)):
+            for kind, res in results.items():
+                got = mirrored_results[kind]
+                npt.assert_allclose(got.t_xy, res.t_xy, rtol=1e-12, atol=0.0)
+                npt.assert_allclose(got.t_z, res.t_z, rtol=1e-12, atol=0.0)
