@@ -26,7 +26,7 @@ from .estimate import pooled_profile  # unused; perfbench/tracecli.py wraps this
 from .geometry import X_AXIS, Y_AXIS, Z_AXIS
 from .isotest import TestConfig, power_curve_from_patterns
 from .patternio import read_patterns, write_csv, write_pattern
-from .simulate import BoxWindow, ModelSpec, simulate_campaign
+from .simulate import MODEL_PARAMS, BoxWindow, ModelSpec, simulate_campaign
 from ._parallel import parallel_map
 
 _AXES = {"x": X_AXIS, "y": Y_AXIS, "z": Z_AXIS}
@@ -120,7 +120,7 @@ _OPTIONS = {
     "seed": _Option(_checked(int, lambda n: n >= 0, "must be at least 0"), "0", _SIM,
                     "campaign seed, at least 0"),
     "window": _Option(_parse_window, "0,1,0,1,0,1", _SIM, "x0,x1,y0,y1,z0,z1 of the box"),
-    "model": _Option(_one_of({k: k for k in ("poisson", "plcpp", "matern", "packing")}),
+    "model": _Option(_one_of({k: k for k in MODEL_PARAMS}),
                      None, _SIM, "poisson, plcpp, matern or packing"),
     "rho": _Option(_REAL, None, _SIM, "target intensity"),
     "rho_l": _Option(_REAL, None, _SIM, "line intensity (plcpp)"),
@@ -152,9 +152,6 @@ _OPTIONS = {
 # what --input replaces; --seed stays, because it labels the CSV
 _MODEL_KEYS = ("window", "model", "rho", "rho_l", "alpha", "sigma", "hardcore_r",
                "compress_c", "m")
-# the model flags that only some models take, and those models
-_MODEL_OWN = {"rho_l": ("plcpp",), "alpha": ("plcpp",), "sigma": ("plcpp",),
-              "hardcore_r": ("matern", "packing")}
 
 
 def _flag(name) -> str:
@@ -199,26 +196,20 @@ def _resolve(args, config, name, required=False):
 
 def _model_from(args, config) -> ModelSpec:
     kind = _resolve(args, config, "model", required=True)
-    # config keys of other models stay unread, as next to --input
-    foreign = [_flag(k) for k, models in _MODEL_OWN.items()
-               if kind not in models and getattr(args, k) is not None]
+    takes = MODEL_PARAMS[kind]
+    # flags of other models are refused unread; their config keys stay unread,
+    # as next to --input
+    foreign = [_flag(k) for k in _MODEL_KEYS if getattr(args, k) is not None and
+               k not in takes and any(k in own for own in MODEL_PARAMS.values())]
     if foreign:
         raise ValueError(f"--model {kind} does not take {', '.join(foreign)}")
     rho = _resolve(args, config, "rho", required=True)
-    if kind == "poisson":
-        model = ModelSpec.poisson(rho)
-    elif kind == "plcpp":
-        rho_l = _resolve(args, config, "rho_l")
-        alpha = _resolve(args, config, "alpha")
-        sigma = _resolve(args, config, "sigma", required=True)
-        if rho_l is None and alpha is None:
-            raise ValueError("plcpp needs --rho-l or --alpha")
-        if rho_l is None:
-            rho_l = rho / alpha
-        model = ModelSpec.plcpp(rho, rho_l, sigma, alpha=alpha)
-    else:
-        r = _resolve(args, config, "hardcore_r", required=True)
-        model = ModelSpec(kind=kind, rho=rho, hardcore_r=r)
+    # plcpp takes either of rho_l and alpha, and ModelSpec.plcpp derives the other
+    given = {k: _resolve(args, config, k, required=k not in ("rho_l", "alpha"))
+             for k in takes}
+    if kind == "plcpp" and given["rho_l"] is None and given["alpha"] is None:
+        raise ValueError("plcpp needs --rho-l or --alpha")
+    model = getattr(ModelSpec, kind)(rho, **given)
     c = _resolve(args, config, "compress_c")
     return model.compressed(c) if c is not None else model
 

@@ -99,55 +99,46 @@ class IsotropyTestResult:
     power: float
 
 
-def _value_at(r_grid, y, r: float):
-    """``y`` interpolated at ``r`` along its last axis, with `np.interp`'s arithmetic."""
-    k = int(np.searchsorted(r_grid, r, side="right")) - 1
-    if r_grid[k] == r:
-        return y[..., k]
-    slope = (y[..., k + 1] - y[..., k]) / (r_grid[k + 1] - r_grid[k])
-    return slope * (r - r_grid[k]) + y[..., k]
-
-
-def _integrator(r_grid, y):
-    """Trapezoidal integral over [r1, r2] along the last axis of ``y``,
-    as a function ``integrate(r1, r2)``.
+def _integrals(r_grid, y, r1, r2_grid) -> np.ndarray:
+    """Trapezoidal integrals over [r1, r2] along the last axis of ``y``, at
+    every bound r2 of the ascending ``r2_grid``: shape (..., bound).
 
     ``y`` is sampled on ``r_grid`` and read as its piecewise-linear
     interpolant, so the rule is exact for it; endpoints that fall between
     grid knots contribute interpolated partial trapezoids.  The trapezoids
-    between knots are formed once and reused at every bound.  Over the
-    whole grid this is `np.trapezoid`, bit for bit.
+    between knots, r1's end and every r2's end are formed once, for all
+    bounds.  Over the whole grid this is `np.trapezoid`, bit for bit.
     """
+    r2_grid = np.asarray(r2_grid, dtype=float)
+    if r1 < r_grid[0] or r2_grid[-1] > r_grid[-1]:
+        raise ValueError(
+            f"integration range [{r1}, {r2_grid[-1]}] exceeds the profile grid "
+            f"[{r_grid[0]}, {r_grid[-1]}]"
+        )
+    ends = np.concatenate([[r1], r2_grid])
+    k = np.searchsorted(r_grid, ends, side="right") - 1
+    at = np.minimum(k, len(r_grid) - 2)  # k itself wherever an end falls between knots
+    slope = (y[..., at + 1] - y[..., at]) / (r_grid[at + 1] - r_grid[at])
+    # each end's value, with np.interp's arithmetic
+    v = np.where(r_grid[k] == ends, y[..., k], slope * (ends - r_grid[at]) + y[..., at])
+    v1, v2 = v[..., :1], v[..., 1:]
+    lo, his = k[0] + 1, np.searchsorted(r_grid, r2_grid, side="left")
+    # the terms np.trapezoid forms from the knots r1, r_grid[lo:hi], r2
     inner = np.diff(r_grid) * (y[..., 1:] + y[..., :-1]) / 2.0
-
-    def integrate(r1: float, r2: float):
-        if r1 < r_grid[0] or r2 > r_grid[-1]:
-            raise ValueError(
-                f"integration range [{r1}, {r2}] exceeds the profile grid "
-                f"[{r_grid[0]}, {r_grid[-1]}]"
-            )
-        lo = int(np.searchsorted(r_grid, r1, side="right"))
-        hi = int(np.searchsorted(r_grid, r2, side="left"))
-        v1, v2 = _value_at(r_grid, y, r1), _value_at(r_grid, y, r2)
-        # the terms np.trapezoid forms from the knots r1, r_grid[lo:hi], r2,
-        # in C order so that each row sums as a lone profile does
-        terms = np.empty(y.shape[:-1] + (hi - lo + 1,))
-        if hi == lo:
-            terms[..., 0] = (r2 - r1) * (v2 + v1) / 2.0
-        else:
-            terms[..., 0] = (r_grid[lo] - r1) * (y[..., lo] + v1) / 2.0
-            terms[..., 1:-1] = inner[..., lo:hi - 1]
-            terms[..., -1] = (r2 - r_grid[hi - 1]) * (v2 + y[..., hi - 1]) / 2.0
-        return terms.sum(axis=-1)
-
-    return integrate
+    first = (r_grid[lo] - r1) * (y[..., lo:lo + 1] + v1) / 2.0
+    last = (r2_grid - r_grid[his - 1]) * (v2 + y[..., his - 1]) / 2.0
+    alone = (r2_grid - r1) * (v2 + v1) / 2.0  # no knot between r1 and r2
+    # each bound sums its terms in C order, so that each row sums as a lone profile does
+    return np.stack([alone[..., b] if hi == lo else
+                     np.concatenate([first, inner[..., lo:hi - 1], last[..., b:b + 1]],
+                                    axis=-1).sum(axis=-1)
+                     for b, hi in enumerate(his)], axis=-1)
 
 
 def _statistics(sx, sy, sz, r_grid, r1, r2_grid) -> np.ndarray:
     """T_xy and T_z of x, y and z profiles sampled on ``r_grid`` along their
     last axis, at every bound of ``r2_grid``: shape (..., 2, bound)."""
-    integrate = _integrator(r_grid, np.abs(np.stack([sx - sy, sx - sz, sy - sz], axis=-2)))
-    t = np.stack([integrate(r1, r2) for r2 in r2_grid], axis=-1)
+    t = _integrals(r_grid, np.abs(np.stack([sx - sy, sx - sz, sy - sz], axis=-2)), r1, r2_grid)
     return np.stack([t[..., 0, :], np.minimum(t[..., 1, :], t[..., 2, :])], axis=-2)
 
 
@@ -207,6 +198,14 @@ def _sweep(patterns, cfg: TestConfig, r2_grid, kinds, aspects, threads: int):
     aspects = [float(a) for a in aspects]
     if not aspects:
         raise ValueError("need at least one aspect ratio")
+    if isinstance(kinds, str):
+        raise ValueError(f"kinds must be a list of kinds, got the string {kinds!r}")
+    kinds = tuple(kinds)
+    if not kinds:
+        raise ValueError("need at least one kind")
+    for kind in kinds:
+        if kind not in KINDS:
+            raise ValueError(f"kind must be one of {KINDS}, got {kind!r}")
     for a in aspects:
         check_r_max(patterns[0].window, a, r2_grid[-1], "r2")
     if cfg.a not in aspects:
@@ -283,5 +282,5 @@ def power_curve_from_patterns(
         aspects = (cfg_base.a,)
     return [
         (r2, *(results[kind].power if kind in results else math.nan for kind in KINDS))
-        for r2, results in _sweep(patterns, cfg_base, r2_grid, tuple(kinds), aspects, threads)
+        for r2, results in _sweep(patterns, cfg_base, r2_grid, kinds, aspects, threads)
     ]

@@ -51,6 +51,8 @@ class BoxWindow:
         hi = np.asarray(self.hi, dtype=float)
         if lo.shape != (3,) or hi.shape != (3,):
             raise ValueError("window bounds must be 3-vectors")
+        if not (np.all(np.isfinite(lo)) and np.all(np.isfinite(hi))):
+            raise ValueError(f"window bounds must be finite, got lo={lo}, hi={hi}")
         if not np.all(hi > lo):
             raise ValueError(f"window must have positive extent, got lo={lo}, hi={hi}")
         object.__setattr__(self, "lo", lo)
@@ -419,6 +421,12 @@ def compress(pattern: PointPattern, c: float) -> PointPattern:
     )
 
 
+# the parameters each model takes besides ``rho``, in the order `ModelSpec.describe`
+# echoes them; `ModelSpec` takes exactly these, and the CLI's model flags read them
+MODEL_PARAMS = {"poisson": (), "plcpp": ("rho_l", "alpha", "sigma"),
+                "matern": ("hardcore_r",), "packing": ("hardcore_r",)}
+
+
 @dataclass(frozen=True)
 class ModelSpec:
     """Tagged bundle naming one simulation model and its parameters.
@@ -437,8 +445,13 @@ class ModelSpec:
     compress_c: float = None
 
     def __post_init__(self):
-        if self.kind not in ("poisson", "plcpp", "matern", "packing"):
+        takes = MODEL_PARAMS.get(self.kind)
+        if takes is None:
             raise ValueError(f"unknown model kind {self.kind!r}")
+        given = tuple(k for k, v in vars(self).items()
+                      if v is not None and k not in ("kind", "rho", "compress_c"))
+        if given != takes:  # both in field order
+            raise ValueError(f"{self.kind} takes {list(takes)} besides rho, got {list(given)}")
         self.inner_spec()  # validate eagerly
         if self.compress_c is not None and not 0.0 < self.compress_c <= 1.0:
             raise ValueError(
@@ -451,8 +464,13 @@ class ModelSpec:
 
     @classmethod
     def plcpp(cls, rho: float, rho_l: float, sigma: float, alpha: float = None) -> "ModelSpec":
-        if alpha is None:
-            alpha = rho / rho_l
+        if rho_l is None and alpha is None:
+            raise ValueError("plcpp needs rho_l or alpha")
+        # the one left None is rho over the other (inf over 0, which PlcppSpec refuses)
+        if rho_l is None:
+            rho_l = rho / alpha if alpha else math.inf
+        elif alpha is None:
+            alpha = rho / rho_l if rho_l else math.inf
         return cls(kind="plcpp", rho=rho, rho_l=rho_l, alpha=alpha, sigma=sigma)
 
     @classmethod
@@ -480,35 +498,24 @@ class ModelSpec:
                 raise ValueError(f"intensity must be positive, got {self.rho}")
             return self.rho
         if self.kind == "plcpp":
-            if self.rho_l is None or self.alpha is None or self.sigma is None:
-                raise ValueError("plcpp needs rho_l, alpha, and sigma")
             return PlcppSpec(
                 rho=self.rho, rho_l=self.rho_l, alpha=self.alpha, sigma=self.sigma
             )
-        if self.hardcore_r is None:
-            raise ValueError(f"{self.kind} needs a hard-core distance")
         return HardCoreSpec(rho=self.rho, r=self.hardcore_r, kind=self.kind)
 
     def describe(self) -> dict:
         """Flat parameter echo for manifests and CSV headers."""
         out = {"model": self.kind, "rho": self.rho}
-        for key in ("rho_l", "alpha", "sigma", "hardcore_r", "compress_c"):
-            value = getattr(self, key)
-            if value is not None:
-                out[key] = value
+        out.update((key, getattr(self, key)) for key in MODEL_PARAMS[self.kind])
+        if self.compress_c is not None:
+            out["compress_c"] = self.compress_c
         return out
 
 
 def simulate_model(model: ModelSpec, window: BoxWindow, seed) -> PointPattern:
     """Generate one replicate of ``model`` (applying compression if set)."""
-    if model.kind == "poisson":
-        pattern = simulate_poisson(model.rho, window, seed)
-    elif model.kind == "plcpp":
-        pattern = simulate_plcpp(model.inner_spec(), window, seed)
-    elif model.kind == "matern":
-        pattern = simulate_matern(model.inner_spec(), window, seed)
-    else:
-        pattern = simulate_packing(model.inner_spec(), window, seed)
+    # looked up at call time, so that a patched ``simulate_<kind>`` is the one called
+    pattern = globals()[f"simulate_{model.kind}"](model.inner_spec(), window, seed)
     if model.compress_c is not None:
         pattern = compress(pattern, model.compress_c)
     return pattern

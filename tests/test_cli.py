@@ -315,6 +315,15 @@ class TestSimulateCommand:
                 in capsys.readouterr().err)
 
 
+    @pytest.mark.parametrize("flag", ["--rho-l", "--alpha"])
+    def test_zero_plcpp_intensity_is_refused(self, tmp_path, capsys, flag):
+        code = run_cli("simulate", "--model", "plcpp", "--rho", "500", flag, "0",
+                       "--sigma", "0.01", "--m", "1", "--out", tmp_path / "x")
+        assert code == 1
+        assert capsys.readouterr().err == "error: intensities must be positive\n"
+        assert not (tmp_path / "x").exists()
+
+
 class TestEstimateCommand:
     @pytest.fixture()
     def campaign(self, tmp_path):
@@ -746,6 +755,23 @@ class TestConfigFile:
         assert run_cli("test", "--config", manifest, "--input", camp, *sweep, "--out", out) == 0
         rows = [l.split(",") for l in out.read_text().splitlines() if not l.startswith("#")]
         assert [r[4:] for r in rows[1:]] == [["3", "6"], ["3", "6"]]
+
+
+    @pytest.mark.parametrize("flags", [
+        ["--model", "poisson", "--rho", "100"],
+        ["--model", "matern", "--rho", "300", "--hardcore-r", "0.05", "--compress-c", "0.8"],
+        ["--model", "packing", "--rho", "200", "--hardcore-r", "0.05"],
+    ], ids=["poisson", "matern", "packing"])
+    def test_manifest_of_every_model_is_a_config(self, tmp_path, flags):
+        camp = tmp_path / "camp"
+        common = ("--m", "2", "--seed", "4", "--threads", "1")
+        assert run_cli("simulate", *flags, *common, "--out", camp) == 0
+        again = tmp_path / "again"
+        assert run_cli("simulate", "--config", camp / "manifest.txt", "--threads", "1",
+                       "--out", again) == 0
+        assert sorted(os.listdir(again)) == sorted(os.listdir(camp))
+        for name in os.listdir(camp):
+            assert (again / name).read_bytes() == (camp / name).read_bytes(), name
 
 
 class TestOptionTable:

@@ -194,6 +194,22 @@ class TestRunTest:
         with pytest.raises(ValueError, match=r"choose r2 < 0\.316227$"):
             power_curve_from_patterns(pats, cfg(), [0.4], threads=2, aspects=[2.0, 3.0])
 
+    @pytest.mark.parametrize("kinds, message", [
+        ((), r"^need at least one kind$"),
+        (("conical", "diag"), r"^kind must be one of \('conical', 'cylindrical'\), got 'diag'$"),
+        ("conical", r"^kinds must be a list of kinds, got the string 'conical'$"),
+    ], ids=["empty", "unknown", "bare string"])
+    def test_refuses_bad_kinds_before_any_work(self, monkeypatch, kinds, message):
+        pats = simulate_campaign(ModelSpec.poisson(100.0), unit_cube(), 3, seed=15)
+
+        def unreachable(*args, **kwargs):
+            raise AssertionError("the sweep started")
+
+        monkeypatch.setattr("aniso3d.isotest.parallel_map", unreachable)
+        monkeypatch.setattr("aniso3d.estimate.pattern_pairs", unreachable)
+        with pytest.raises(ValueError, match=message):
+            power_curve_from_patterns(pats, cfg(), [0.05], kinds=kinds, threads=2)
+
     def test_refuses_aspect_whose_square_overflows(self):
         pats = simulate_campaign(ModelSpec.poisson(100.0), unit_cube(), 2, seed=16)
         with pytest.raises(ValueError,
@@ -355,6 +371,20 @@ class TestExactOracles:
             yz = trapezoid_oracle(grid, np.abs(sy - sz), r1, r2)
             assert stats[0, b] == trapezoid_oracle(grid, np.abs(sx - sy), r1, r2)
             assert stats[1, b] == min(xz, yz)
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(case=profiles_and_bounds(), shape=st.sampled_from([(1,), (2,), (5,), (2, 3)]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_each_row_of_a_stack_is_a_lone_profile(self, case, shape, seed):
+        # the sweep integrates (aspect, kind) stacks of profiles in one call
+        _, grid, r1, bounds = case
+        rng = np.random.default_rng(seed)
+        sx, sy, sz = np.cumsum(rng.uniform(0.0, 1.0, (3, *shape, len(grid))), axis=-1)
+        stats = _statistics(sx, sy, sz, grid, r1, bounds)
+        assert stats.shape == (*shape, 2, len(bounds))
+        for row in np.ndindex(shape):
+            lone = _statistics(sx[row], sy[row], sz[row], grid, r1, bounds)
+            assert stats[row].tobytes() == lone.tobytes()
 
     @settings(max_examples=150, deadline=None, derandomize=True)
     @given(seed=st.integers(0, 2**32 - 1), m=st.integers(2, 1000),

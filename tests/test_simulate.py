@@ -2,6 +2,7 @@
 
 import math
 import os
+import re
 import subprocess
 import sys
 from functools import partial
@@ -15,6 +16,7 @@ from scipy.spatial import cKDTree
 
 from aniso3d import simulate
 from aniso3d.simulate import (
+    MODEL_PARAMS,
     BoxWindow,
     HardCoreSpec,
     ModelSpec,
@@ -104,6 +106,14 @@ class TestWindowAndPattern:
     def test_window_requires_extent(self):
         with pytest.raises(ValueError, match="extent"):
             BoxWindow(np.zeros(3), np.array([1.0, 0.0, 1.0]))
+
+    @pytest.mark.parametrize("lo, hi", [([0.0, 0.0, 0.0], [math.inf, 1.0, 1.0]),
+                                        ([0.0, -math.inf, 0.0], [1.0, 1.0, 1.0]),
+                                        ([0.0, 0.0, math.nan], [1.0, 1.0, 1.0])])
+    def test_window_requires_finite_bounds(self, lo, hi):
+        # an infinite window has infinite volume, which no simulator or estimator can use
+        with pytest.raises(ValueError, match="^window bounds must be finite, got lo="):
+            BoxWindow(np.array(lo), np.array(hi))
 
     def test_pattern_rejects_outside_points(self):
         with pytest.raises(ValueError, match="inside"):
@@ -439,6 +449,44 @@ class TestModelSpec:
         model = ModelSpec.plcpp(500.0, 200.0, 0.01).compressed(0.9)
         d = model.describe()
         assert d["model"] == "plcpp" and d["sigma"] == 0.01 and d["compress_c"] == 0.9
+
+    @pytest.mark.parametrize("model, params", [
+        (ModelSpec.poisson(200.0), []),
+        (ModelSpec.plcpp(500.0, 200.0, 0.01), ["rho_l", "alpha", "sigma"]),
+        (ModelSpec.matern(500.0, 0.05), ["hardcore_r"]),
+        (ModelSpec.packing(200.0, 0.05), ["hardcore_r"]),
+    ], ids=lambda x: x.kind if isinstance(x, ModelSpec) else "")
+    def test_describe_echoes_the_table(self, model, params):
+        assert list(MODEL_PARAMS[model.kind]) == params
+        assert list(model.describe()) == ["model", "rho", *params]
+        assert list(model.compressed(0.9).describe()) == ["model", "rho", *params, "compress_c"]
+
+    @pytest.mark.parametrize("fields, message", [
+        (dict(kind="poisson", sigma=-3.0), "poisson takes [] besides rho, got ['sigma']"),
+        (dict(kind="poisson", sigma=-3.0, hardcore_r=0.05),
+         "poisson takes [] besides rho, got ['sigma', 'hardcore_r']"),
+        (dict(kind="matern", rho_l=200.0, hardcore_r=0.05),
+         "matern takes ['hardcore_r'] besides rho, got ['rho_l', 'hardcore_r']"),
+        (dict(kind="plcpp", rho_l=200.0, alpha=2.5, sigma=0.01, hardcore_r=0.05),
+         "plcpp takes ['rho_l', 'alpha', 'sigma'] besides rho, "
+         "got ['rho_l', 'alpha', 'sigma', 'hardcore_r']"),
+        (dict(kind="plcpp", rho_l=200.0, alpha=2.5),
+         "plcpp takes ['rho_l', 'alpha', 'sigma'] besides rho, got ['rho_l', 'alpha']"),
+        (dict(kind="packing"), "packing takes ['hardcore_r'] besides rho, got []"),
+        (dict(kind="cubic"), "unknown model kind 'cubic'"),
+    ], ids=["poisson sigma", "poisson two", "matern rho_l", "plcpp hardcore_r",
+            "plcpp no sigma", "packing no r", "unknown kind"])
+    def test_refuses_foreign_and_missing_parameters(self, fields, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            ModelSpec(rho=500.0, **fields)
+
+    def test_plcpp_derives_either_intensity(self):
+        assert ModelSpec.plcpp(500.0, None, 0.01, alpha=2.5) == ModelSpec.plcpp(500.0, 200.0, 0.01)
+        with pytest.raises(ValueError, match="^plcpp needs rho_l or alpha$"):
+            ModelSpec.plcpp(500.0, None, 0.01)
+        for rho_l, alpha in [(0.0, None), (None, 0.0)]:
+            with pytest.raises(ValueError, match="^intensities must be positive$"):
+                ModelSpec.plcpp(500.0, rho_l, 0.01, alpha=alpha)
 
     @pytest.mark.parametrize("model", [
         ModelSpec.poisson(200.0),
