@@ -24,8 +24,8 @@ from .estimate import (check_r_max, default_r_grid, ratio_of_sums, replicate_num
                        require_common_window)
 from .estimate import pooled_profile  # unused; perfbench/tracecli.py wraps this name
 from .geometry import X_AXIS, Y_AXIS, Z_AXIS
-from .isotest import TestConfig, power_curve_from_patterns
-from .patternio import read_patterns, write_csv, write_pattern
+from .isotest import TestConfig, check_sweep, power_curve_from_patterns
+from .patternio import pattern_names, read_patterns, write_csv, write_pattern
 from .simulate import MODEL_PARAMS, BoxWindow, ModelSpec, simulate_campaign
 from ._parallel import parallel_map
 
@@ -225,11 +225,16 @@ def cmd_simulate(args, config) -> None:
     os.makedirs(out_dir, exist_ok=True)
     if not os.access(out_dir, os.W_OK):
         raise OSError(f"output directory {out_dir} is not writable")
+    names = [f"pattern_{i:05d}.txt" for i in range(m)]
+    stale = sorted(set(pattern_names(out_dir)) - set(names))
+    if stale:  # it would be pooled with this campaign
+        raise ValueError(f"--out {out_dir} holds pattern file {stale[0]}, which a campaign "
+                         f"of m = {m} would not overwrite")
     patterns = simulate_campaign(model, window, m, seed, threads)
     echo = model.describe()
     comment = " ".join(f"{k}={v}" for k, v in echo.items())
-    for i, pattern in enumerate(patterns):
-        write_pattern(os.path.join(out_dir, f"pattern_{i:05d}.txt"), pattern,
+    for i, (name, pattern) in enumerate(zip(names, patterns)):
+        write_pattern(os.path.join(out_dir, name), pattern,
                       comments=[comment, f"replicate = {i}", f"seed = ({seed}, {i})"])
     # every float by repr, so that the manifest reads back as this campaign's config
     lines = ["# aniso3d simulate manifest"]
@@ -315,7 +320,7 @@ def cmd_power(args, config) -> None:
         if flags:
             raise ValueError(f"--input excludes the model flags, got {', '.join(flags)}")
         patterns = _read_input(source)
-        window = patterns[0].window
+        window, m = patterns[0].window, len(patterns)
         origin = f"input = {source}"
     else:
         model = _model_from(args, config)
@@ -323,14 +328,12 @@ def cmd_power(args, config) -> None:
         sim_window = _resolve(args, config, "window")
         window = model.replicate_window(sim_window)
         origin = " ".join(f"{k}={v}" for k, v in model.describe().items())
-    # refused before a campaign is simulated, against the window it will have
-    for a in a_list:
-        check_r_max(window, a, r2_list[-1], "--r2-grid entry")
-    if source is None:
-        patterns = simulate_campaign(model, sim_window, m, seed, threads)
-    m = len(patterns)
     cfg = TestConfig(kind=kinds[0], a=a_list[0], r2=r2_list[-1], alpha_level=level,
                      grid_points=n_grid)
+    # refused before a campaign is simulated, against the window it will have
+    check_sweep(window, m, cfg, r2_list, kinds, a_list, "--r2-grid entry")
+    if source is None:
+        patterns = simulate_campaign(model, sim_window, m, seed, threads)
     curve = power_curve_from_patterns(patterns, cfg, r2_list, kinds=kinds,
                                       threads=threads, aspects=a_list)
     row_aspects = [a for a in a_list for _ in r2_list]

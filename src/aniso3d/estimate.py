@@ -48,6 +48,19 @@ __all__ = [
 KINDS = ("conical", "cylindrical")
 
 
+def check_kinds(kinds) -> tuple:
+    """The one kind rule: a nonempty list of `KINDS` entries, not a bare string."""
+    if isinstance(kinds, str):
+        raise ValueError(f"kinds must be a list of kinds, got the string {kinds!r}")
+    kinds = tuple(kinds)
+    if not kinds:
+        raise ValueError("need at least one kind")
+    for kind in kinds:
+        if kind not in KINDS:
+            raise ValueError(f"kind must be one of {KINDS}, got {kind!r}")
+    return kinds
+
+
 @dataclass(frozen=True)
 class KProfile:
     """K estimates over an ascending grid of cylinder radii.
@@ -64,8 +77,7 @@ class KProfile:
     a: float
 
     def __post_init__(self):
-        if self.kind not in KINDS:
-            raise ValueError(f"kind must be one of {KINDS}, got {self.kind!r}")
+        check_kinds([self.kind])
         if len(self.values) != len(self.r_grid):
             raise ValueError("values and r_grid must have equal length")
 
@@ -251,12 +263,10 @@ def pair_numerators(pairs: PatternPairs, directions, kinds, r_grid, aspects) -> 
     monotone in its slant factor, ``cos_theta`` and aspect, so the union
     holds every pair of every element, and ``bincount`` adds the same
     weights in the same order as over the full arrays: no bit changes.
-    ``pairs`` must reach `profile_extent` of the largest aspect.
+    ``pairs`` must reach `profile_extent` of the largest aspect, and
+    ``kinds`` must pass `check_kinds`.
     """
     directions = [as_direction(u) for u in directions]
-    for kind in kinds:
-        if kind not in KINDS:
-            raise ValueError(f"kind must be one of {KINDS}, got {kind!r}")
     r_grid = _check_grid(r_grid)
     out = np.empty((len(aspects), len(kinds), len(directions), r_grid.size))
     if out.size == 0:
@@ -354,6 +364,7 @@ def pooled_profile(patterns, u, kind: str, r_grid, a: float) -> KProfile:
     patterns = list(patterns)
     if not patterns:
         raise ValueError("need at least one pattern to pool")
+    check_kinds([kind])
     u = as_direction(u)
     r_grid = _check_grid(r_grid)
     require_common_window(patterns, "pooled patterns")

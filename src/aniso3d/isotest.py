@@ -17,11 +17,14 @@ and aspect come from one pair extraction (at the largest aspect's
 extent) and one kernel call on an even grid over [0, max r2], and
 `_statistics`, the one definition of T_xy and T_z, integrates their
 absolute differences up to each bound with one trapezoidal rule inside
-the worker, so only the statistics return to the main process, which
-takes the decisions.  `run_test` is the sweep at a single bound and
-aspect, and `t_xy` and `t_z` apply `_statistics` to one profile triple.
-Windows of different shapes, a replicate with fewer than 2 points, or an
-r2 that `check_r_max` refuses at any aspect raise ValueError up front.
+the worker, so only the statistics return to the main process.  There
+one sort along the replicate axis gives every (aspect, kind, bound)
+threshold, and the decisions come back as arrays.  `run_test` is the
+sweep at a single bound, kind and aspect, and `t_xy` and `t_z` apply
+`_statistics` to one profile triple.  `check_sweep` states the sweep's
+rules once, and the CLI calls it before it simulates; a request it
+refuses, windows of different shapes or a replicate with fewer than 2
+points raise ValueError before any pair is extracted.
 
 The size of the test is at most alpha and usually well below it.  Under
 isotropy in a cube T_xy, T_xz and T_yz are exchangeable, so each single
@@ -39,7 +42,8 @@ from functools import partial
 import numpy as np
 
 from ._parallel import parallel_map
-from .estimate import KINDS, check_r_max, replicate_numerators, require_common_window
+from .estimate import (KINDS, check_kinds, check_r_max, replicate_numerators,
+                       require_common_window)
 from .estimate import pair_numerators  # unused; perfbench/tracecli.py wraps this name
 from .estimate import pattern_pairs  # unused; perfbench/tracecli.py wraps this name
 from .geometry import X_AXIS, Y_AXIS, Z_AXIS
@@ -75,8 +79,7 @@ class TestConfig:
     grid_points: int = 512
 
     def __post_init__(self):
-        if self.kind not in KINDS:
-            raise ValueError(f"kind must be one of {KINDS}, got {self.kind!r}")
+        check_kinds([self.kind])
         if not self.a > 1.0:
             raise ValueError(f"aspect ratio must exceed 1, got {self.a}")
         if not 0.0 <= self.r1 < self.r2:
@@ -160,10 +163,11 @@ def t_z(profiles, cfg: TestConfig) -> float:
     return float(_triple_statistics(profiles, cfg)[1])
 
 
-def _nearest_rank_quantile(values: np.ndarray, q: float) -> float:
-    srt = np.sort(values)
+def _nearest_rank_quantile(values: np.ndarray, q: float):
+    """The nearest-rank q-quantile along the first (replicate) axis."""
+    srt = np.sort(values, axis=0)
     rank = min(max(math.ceil(q * len(srt)), 1), len(srt))
-    return float(srt[rank - 1])
+    return srt[rank - 1]
 
 
 def _replicate_statistics(pattern, kinds, aspects, r_grid, r1, r2_grid) -> np.ndarray:
@@ -173,63 +177,51 @@ def _replicate_statistics(pattern, kinds, aspects, r_grid, r1, r2_grid) -> np.nd
     return _statistics(*np.moveaxis(numerators / mass, 2, 0), r_grid, r1, r2_grid)
 
 
-def _sweep(patterns, cfg: TestConfig, r2_grid, kinds, aspects, threads: int):
-    """One ``(r2, {kind: IsotropyTestResult})`` pair per aspect of
-    ``aspects`` and bound of ``r2_grid``, aspect-major.
-
-    ``cfg`` supplies ``r1``, ``alpha_level`` and ``grid_points``; its
-    aspect ratio ``a`` must be one of ``aspects``.
-    """
-    patterns = list(patterns)
-    if len(patterns) < 2:
-        raise ValueError(f"the test needs at least 2 replicates, got {len(patterns)}")
-    require_common_window(patterns, "replicates")
-    sparse = [i for i, p in enumerate(patterns) if p.n < 2]
-    if sparse:
-        raise ValueError(
-            f"replicates {sparse} have fewer than 2 points; every replicate "
-            "needs at least 2 to estimate its intensity"
-        )
+def check_sweep(window, m: int, cfg: TestConfig, r2_grid, kinds, aspects, what: str):
+    """The one statement of a sweep's rules, checked before any work: at least
+    2 replicates, bounds ascending above ``cfg.r1``, `check_kinds`, a list of
+    aspects holding ``cfg.a``, and `check_r_max` (naming ``what``) at each.
+    Returns the bounds, kinds and aspects as an array, a tuple and a list."""
+    if m < 2:
+        raise ValueError(f"the test needs at least 2 replicates, got {m}")
     r2_grid = np.asarray(r2_grid, dtype=float)
     if r2_grid.size == 0 or not np.all(np.diff(r2_grid) > 0.0):  # NaN fails it
         raise ValueError("r2_grid must be nonempty and strictly ascending")
     if not r2_grid[0] > cfg.r1:
         raise ValueError("every r2 must exceed r1")
+    if isinstance(aspects, str) or not np.iterable(aspects):
+        raise ValueError(f"aspects must be a list of aspect ratios, got {aspects!r}")
     aspects = [float(a) for a in aspects]
     if not aspects:
         raise ValueError("need at least one aspect ratio")
-    if isinstance(kinds, str):
-        raise ValueError(f"kinds must be a list of kinds, got the string {kinds!r}")
-    kinds = tuple(kinds)
-    if not kinds:
-        raise ValueError("need at least one kind")
-    for kind in kinds:
-        if kind not in KINDS:
-            raise ValueError(f"kind must be one of {KINDS}, got {kind!r}")
+    kinds = check_kinds(kinds)
     for a in aspects:
-        check_r_max(patterns[0].window, a, r2_grid[-1], "r2")
+        check_r_max(window, a, r2_grid[-1], what)
     if cfg.a not in aspects:
         raise ValueError(f"the configured aspect ratio {cfg.a} is not among {aspects}")
-    r_grid = np.linspace(0.0, float(r2_grid[-1]), cfg.grid_points)
+    return r2_grid, kinds, aspects
 
-    stats = np.array(parallel_map(
-        partial(_replicate_statistics, kinds=kinds, aspects=aspects, r_grid=r_grid,
-                r1=cfg.r1, r2_grid=r2_grid.tolist()),
-        patterns,
-        threads,
-    ))  # (replicate, aspect, kind, 2, bound)
-    out = []
-    for i in range(len(aspects)):
-        for b, r2 in enumerate(r2_grid):
-            results = {}
-            for k, kind in enumerate(kinds):
-                txy, tz = stats[:, i, k, 0, b], stats[:, i, k, 1, b]
-                threshold = _nearest_rank_quantile(txy, 1.0 - cfg.alpha_level)
-                rejections = tz > threshold
-                results[kind] = IsotropyTestResult(txy, tz, threshold, rejections,
-                                                   float(rejections.mean()))
-            out.append((float(r2), results))
-    return out
+
+def _sweep(patterns, cfg: TestConfig, r2_grid, kinds, aspects, threads: int):
+    """The statistics (replicate, aspect, kind, 2, bound), the thresholds
+    (aspect, kind, bound) and the rejections (replicate, aspect, kind, bound)
+    of a sweep, which `check_sweep` checks before any work, on replicates of
+    one window shape and at least 2 points each.  ``cfg`` supplies ``r1``,
+    ``alpha_level`` and ``grid_points``."""
+    patterns = list(patterns)
+    r2_grid, kinds, aspects = check_sweep(patterns[0].window if patterns else None,
+                                          len(patterns), cfg, r2_grid, kinds, aspects, "r2")
+    require_common_window(patterns, "replicates")
+    sparse = [i for i, p in enumerate(patterns) if p.n < 2]
+    if sparse:
+        raise ValueError(f"replicates {sparse} have fewer than 2 points; every replicate "
+                         "needs at least 2 to estimate its intensity")
+    r_grid = np.linspace(0.0, float(r2_grid[-1]), cfg.grid_points)
+    stats = np.array(parallel_map(partial(_replicate_statistics, kinds=kinds, aspects=aspects,
+                                          r_grid=r_grid, r1=cfg.r1, r2_grid=r2_grid.tolist()),
+                                  patterns, threads))
+    thresholds = _nearest_rank_quantile(stats[:, :, :, 0], 1.0 - cfg.alpha_level)
+    return stats, thresholds, stats[:, :, :, 1] > thresholds
 
 
 def run_test(patterns, cfg: TestConfig, *, threads: int = 1) -> IsotropyTestResult:
@@ -248,8 +240,11 @@ def run_test(patterns, cfg: TestConfig, *, threads: int = 1) -> IsotropyTestResu
     rate is at most ``alpha_level`` and usually well below it (about 0.01
     at ``alpha_level=0.05`` for 500 Poisson replicates in the unit cube).
     """
-    [(_, results)] = _sweep(patterns, cfg, [cfg.r2], (cfg.kind,), (cfg.a,), threads)
-    return results[cfg.kind]
+    stats, thresholds, rejections = _sweep(patterns, cfg, [cfg.r2], (cfg.kind,), (cfg.a,),
+                                           threads)
+    rejected = rejections[:, 0, 0, 0]
+    return IsotropyTestResult(stats[:, 0, 0, 0, 0], stats[:, 0, 0, 1, 0],
+                              float(thresholds[0, 0, 0]), rejected, float(rejected.mean()))
 
 
 def power_curve_from_patterns(
@@ -280,7 +275,10 @@ def power_curve_from_patterns(
     """
     if aspects is None:
         aspects = (cfg_base.a,)
-    return [
-        (r2, *(results[kind].power if kind in results else math.nan for kind in KINDS))
-        for r2, results in _sweep(patterns, cfg_base, r2_grid, kinds, aspects, threads)
-    ]
+    kinds = check_kinds(kinds)  # read here and by _sweep, so a generator is read once
+    _, _, rejections = _sweep(patterns, cfg_base, r2_grid, kinds, aspects, threads)
+    power = np.full((rejections.shape[1], len(KINDS), rejections.shape[3]), math.nan)
+    power[:, [KINDS.index(kind) for kind in kinds]] = rejections.mean(axis=0)
+    bounds = np.asarray(r2_grid, dtype=float).tolist()
+    return [(r2, *p) for by_aspect in power.transpose(0, 2, 1).tolist()
+            for r2, p in zip(bounds, by_aspect)]

@@ -12,7 +12,7 @@ import numpy as np
 
 from .simulate import BoxWindow, PointPattern
 
-__all__ = ["write_pattern", "read_pattern", "read_patterns", "write_csv"]
+__all__ = ["write_pattern", "read_pattern", "read_patterns", "pattern_names", "write_csv"]
 
 
 def _fmt(value: float) -> str:
@@ -101,13 +101,17 @@ def _raise_first_bad_line(path, lines):
     raise ValueError(f"{path}: missing window line")
 
 
+def pattern_names(directory) -> list:
+    """The sorted names of the pattern files in ``directory``: ``*.txt``,
+    except a ``manifest*``."""
+    return sorted(n for n in os.listdir(directory)
+                  if n.endswith(".txt") and not n.startswith("manifest"))
+
+
 def read_patterns(source) -> list:
     """Read every pattern under a directory (sorted) or from explicit paths."""
     if isinstance(source, (str, os.PathLike)) and os.path.isdir(source):
-        names = sorted(
-            n for n in os.listdir(source)
-            if n.endswith(".txt") and not n.startswith("manifest")
-        )
+        names = pattern_names(source)
         if not names:
             raise ValueError(f"no pattern files (*.txt) found in {source}")
         paths = [os.path.join(source, n) for n in names]

@@ -273,6 +273,27 @@ class TestSimulateCommand:
         second = {n: (out / n).read_bytes() for n in os.listdir(out)}
         assert first == second
 
+    def test_refuses_stale_pattern_files(self, tmp_path, capsys, monkeypatch):
+        out = tmp_path / "campaign"
+        args = ("simulate", "--model", "poisson", "--rho", "100", "--out", out)
+        assert run_cli(*args, "--m", "3", "--seed", "1") == 0
+        before = {n: (out / n).read_bytes() for n in os.listdir(out)}
+
+        def unreachable(*args, **kwargs):
+            raise AssertionError("the campaign was simulated")
+
+        # a smaller campaign would leave pattern_00002.txt to be pooled with it
+        with monkeypatch.context() as patch:
+            patch.setattr("aniso3d.cli.simulate_campaign", unreachable)
+            assert run_cli(*args, "--m", "2", "--seed", "2") == 1
+        assert capsys.readouterr().err == (
+            f"error: --out {out} holds pattern file pattern_00002.txt, which a campaign "
+            "of m = 2 would not overwrite\n")
+        assert {n: (out / n).read_bytes() for n in os.listdir(out)} == before
+        # a larger campaign overwrites every file there
+        assert run_cli(*args, "--m", "4", "--seed", "2") == 0
+        assert len(read_patterns(out)) == 4
+
     def test_thread_count_does_not_change_output(self, tmp_path):
         outs = []
         for threads in ("1", "2"):
@@ -575,6 +596,11 @@ class TestTestAndPowerCommands:
         err = capsys.readouterr().err
         assert "error: --r2-grid entry 0.6 is out of range" in err
         assert "choose --r2-grid entry < 0.313049" in err
+        # one replicate is refused before it is simulated, too
+        code = run_cli("power", "--model", "poisson", "--rho", "100", "--m", "1",
+                       "--r2-grid", "0.05", "--out", out)
+        assert code == 1 and not out.exists()
+        assert capsys.readouterr().err == "error: the test needs at least 2 replicates, got 1\n"
 
     def test_aspect_sweep_rows(self, tmp_path):
         out = tmp_path / "sweep.csv"

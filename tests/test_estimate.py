@@ -261,6 +261,16 @@ class TestPooling:
         with pytest.raises(ValueError, match="at least one"):
             pooled_profile([], Z_AXIS, "conical", [0.05], 2.0)
 
+    def test_refuses_bad_kind_before_any_work(self, monkeypatch):
+        pats = [simulate_poisson(100.0, unit_cube(), s) for s in (42, 43)]
+
+        def unreachable(*args, **kwargs):
+            raise AssertionError("pairs were extracted")
+
+        monkeypatch.setattr("aniso3d.estimate.pattern_pairs", unreachable)
+        with pytest.raises(ValueError, match=r"^kind must be one of .*, got 'diag'$"):
+            pooled_profile(pats, Z_AXIS, "diag", [0.0, 0.05], 2.0)
+
     def test_sparse_replicates_add_nothing_to_ratio_of_sums(self):
         pats = [simulate_poisson(300.0, unit_cube(), s) for s in (40, 41)]
         sparse = [PointPattern(np.empty((0, 3)), unit_cube()),

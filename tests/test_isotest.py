@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from aniso3d.estimate import KProfile
+from aniso3d.estimate import KProfile, pooled_profile
 from aniso3d.geometry import X_AXIS, Y_AXIS, Z_AXIS
 from aniso3d.isotest import (
     IsotropyTestResult,
@@ -14,6 +14,7 @@ from aniso3d.isotest import (
     _nearest_rank_quantile,
     _statistics,
     _sweep,
+    check_sweep,
     power_curve_from_patterns,
     run_test,
     t_xy,
@@ -210,6 +211,18 @@ class TestRunTest:
         with pytest.raises(ValueError, match=message):
             power_curve_from_patterns(pats, cfg(), [0.05], kinds=kinds, threads=2)
 
+    @pytest.mark.parametrize("entry", [
+        lambda pats: KProfile("diag", Z_AXIS, GRID, np.zeros(len(GRID)), 2.0),
+        lambda pats: TestConfig(kind="diag", a=2.0, r2=0.05),
+        lambda pats: pooled_profile(pats, Z_AXIS, "diag", GRID, 2.0),
+        lambda pats: check_sweep(unit_cube(), 3, cfg(), [0.05], ("diag",), [2.0], "r2"),
+    ], ids=["KProfile", "TestConfig", "pooled_profile", "check_sweep"])
+    def test_every_entry_states_the_one_kind_rule(self, entry):
+        pats = simulate_campaign(ModelSpec.poisson(100.0), unit_cube(), 3, seed=15)
+        with pytest.raises(ValueError) as info:
+            entry(pats)
+        assert str(info.value) == "kind must be one of ('conical', 'cylindrical'), got 'diag'"
+
     def test_refuses_aspect_whose_square_overflows(self):
         pats = simulate_campaign(ModelSpec.poisson(100.0), unit_cube(), 2, seed=16)
         with pytest.raises(ValueError,
@@ -285,6 +298,13 @@ class TestPowerCurve:
             power_curve_from_patterns(pats, cfg(), [0.05], aspects=[2.0, 1.0])
         with pytest.raises(ValueError, match="configured aspect ratio 2.0 is not among"):
             power_curve_from_patterns(pats, cfg(), [0.05], aspects=[1.5, 3.0])
+        # a bare string is not swept character by character, nor a scalar refused late
+        with pytest.raises(ValueError,
+                           match=r"^aspects must be a list of aspect ratios, got '25'$"):
+            power_curve_from_patterns(pats, cfg(), [0.05], aspects="25")
+        with pytest.raises(ValueError,
+                           match=r"^aspects must be a list of aspect ratios, got 2\.0$"):
+            power_curve_from_patterns(pats, cfg(), [0.05], aspects=2.0)
 
     def test_deterministic_campaign(self):
         model = ModelSpec.plcpp(500.0, 200.0, 0.01)
@@ -400,16 +420,13 @@ class TestExactOracles:
     @settings(max_examples=20, deadline=None, derandomize=True)
     @given(order=st.permutations(range(8)))
     def test_permuting_replicates_permutes_statistics(self, permutation_reference, order):
-        pats, base = permutation_reference
+        pats, (stats, thresholds, rejections) = permutation_reference
         moved = _sweep([pats[i] for i in order], *SWEEP, threads=1)
-        for (r2, results), (r2_moved, results_moved) in zip(base, moved):
-            assert r2 == r2_moved
-            for kind, res in results.items():
-                got = results_moved[kind]
-                assert got.t_xy.tobytes() == res.t_xy[order].tobytes()
-                assert got.t_z.tobytes() == res.t_z[order].tobytes()
-                assert got.rejections.tolist() == res.rejections[order].tolist()
-                assert got.threshold == res.threshold and got.power == res.power
+        # every element: the statistics and decisions move with their replicate,
+        # and the thresholds, order statistics of the replicates, stay
+        assert moved[0].tobytes() == stats[order].tobytes()
+        assert moved[1].tobytes() == thresholds.tobytes()
+        assert moved[2].tolist() == rejections[order].tolist()
 
     @settings(max_examples=15, deadline=None, derandomize=True)
     @given(seed=st.integers(0, 2**32 - 1), poisson=st.booleans(),
@@ -422,9 +439,8 @@ class TestExactOracles:
         mirrored = [PointPattern(p.points[:, swap],
                                  BoxWindow(p.window.lo[swap], p.window.hi[swap]))
                     for p in pats]
-        for (_, results), (_, mirrored_results) in zip(_sweep(pats, *SWEEP, threads=1),
-                                                       _sweep(mirrored, *SWEEP, threads=1)):
-            for kind, res in results.items():
-                got = mirrored_results[kind]
-                npt.assert_allclose(got.t_xy, res.t_xy, rtol=1e-12, atol=0.0)
-                npt.assert_allclose(got.t_z, res.t_z, rtol=1e-12, atol=0.0)
+        stats, _, _ = _sweep(pats, *SWEEP, threads=1)
+        mirrored_stats, _, _ = _sweep(mirrored, *SWEEP, threads=1)
+        # every T_xy and T_z, of every replicate, aspect, kind and bound
+        assert mirrored_stats.shape == stats.shape == (4, 2, 2, 2, 3)
+        npt.assert_allclose(mirrored_stats, stats, rtol=1e-12, atol=0.0)
