@@ -4,7 +4,10 @@ Four subcommands cover the pipeline: ``simulate`` writes replicated
 pattern files plus a manifest, ``estimate`` pools directional K-profiles
 into a CSV, and ``test`` and ``power``, one command under two names,
 sweep isotropy-test power over r2 for ``--input`` patterns or a
-simulated campaign.  ``_OPTIONS`` declares each option once: its
+simulated campaign.  Each command maps one pool job over its replicates,
+given by file path or campaign key, and the job that reads or simulates
+a replicate also reduces it, to a written file, to pair numerators or
+to statistics, so no process holds the campaign.  ``_OPTIONS`` declares each option once: its
 parse-and-check function, default, commands and help.  A value comes
 from the flag, else a ``--config`` file of ``key = value`` lines (a
 campaign's manifest is one), else the default; a bad one is refused
@@ -25,8 +28,11 @@ from .estimate import (check_r_max, default_r_grid, ratio_of_sums, replicate_num
 from .estimate import pooled_profile  # unused; perfbench/tracecli.py wraps this name
 from .geometry import X_AXIS, Y_AXIS, Z_AXIS
 from .isotest import TestConfig, check_sweep, power_curve_from_patterns
-from .patternio import pattern_names, read_patterns, write_csv, write_pattern
-from .simulate import MODEL_PARAMS, BoxWindow, ModelSpec, simulate_campaign
+from .patternio import (pattern_names, pattern_paths, reduce_replicate, replicate_pattern,
+                        source_window, write_csv, write_pattern)
+from .patternio import read_patterns  # unused; perfbench/tracecli.py wraps this name
+from .simulate import MODEL_PARAMS, BoxWindow, ModelSpec
+from .simulate import simulate_campaign  # unused; perfbench/tracecli.py wraps this name
 from ._parallel import parallel_map
 
 _AXES = {"x": X_AXIS, "y": Y_AXIS, "z": Z_AXIS}
@@ -222,6 +228,7 @@ def cmd_simulate(args, config) -> None:
     out_dir = _resolve(args, config, "out", required=True)
     window = _resolve(args, config, "window")
     threads = _resolve(args, config, "threads")
+    created = not os.path.isdir(out_dir)
     os.makedirs(out_dir, exist_ok=True)
     if not os.access(out_dir, os.W_OK):
         raise OSError(f"output directory {out_dir} is not writable")
@@ -230,12 +237,21 @@ def cmd_simulate(args, config) -> None:
     if stale:  # it would be pooled with this campaign
         raise ValueError(f"--out {out_dir} holds pattern file {stale[0]}, which a campaign "
                          f"of m = {m} would not overwrite")
-    patterns = simulate_campaign(model, window, m, seed, threads)
     echo = model.describe()
     comment = " ".join(f"{k}={v}" for k, v in echo.items())
-    for i, (name, pattern) in enumerate(zip(names, patterns)):
-        write_pattern(os.path.join(out_dir, name), pattern,
-                      comments=[comment, f"replicate = {i}", f"seed = ({seed}, {i})"])
+    paths = [os.path.join(out_dir, name) for name in names]
+    jobs = [((model, window, seed, i), path + ".partial") for i, path in enumerate(paths)]
+    try:
+        parallel_map(partial(_write_replicate, comment=comment), jobs, threads)
+    except BaseException:  # leave --out as it was found
+        for _, partial_path in jobs:  # every job has ended
+            if os.path.exists(partial_path):
+                os.remove(partial_path)
+        if created:
+            os.rmdir(out_dir)
+        raise
+    for (_, partial_path), path in zip(jobs, paths):
+        os.replace(partial_path, path)
     # every float by repr, so that the manifest reads back as this campaign's config
     lines = ["# aniso3d simulate manifest"]
     lines += [f"{k} = {float(v)!r}" if isinstance(v, float) else f"{k} = {v}"
@@ -247,12 +263,25 @@ def cmd_simulate(args, config) -> None:
     print(f"wrote {m} patterns and manifest.txt to {out_dir}")
 
 
-def _read_input(source) -> list:
-    """Patterns from an ``--input`` directory, file, or comma list of files."""
+def _write_replicate(job, comment) -> None:
+    """One pool job of `simulate`: simulate a replicate from its key and write
+    it under a temporary name, which the main process renames once every
+    replicate exists."""
+    key, path = job
+    seed, i = key[2:]
+    write_pattern(path, replicate_pattern(key),
+                  comments=[comment, f"replicate = {i}", f"seed = ({seed}, {i})"])
+
+
+def _input_sources(source) -> list:
+    """Replicate sources of an ``--input`` directory, file, or comma list of
+    files: the first file is read here, for the window that the checks and the
+    grid need, and the pool jobs read the others."""
     items = source.split(",")
     if not all(item.strip() for item in items):
         raise ValueError(f"--input has an empty item, got {source!r}")
-    return read_patterns(items if len(items) > 1 else source)
+    paths = pattern_paths(items if len(items) > 1 else source)
+    return [replicate_pattern(paths[0])] + paths[1:]
 
 
 def cmd_estimate(args, config) -> None:
@@ -270,9 +299,8 @@ def cmd_estimate(args, config) -> None:
     directions = _resolve(args, config, "directions")
     r_max = _resolve(args, config, "r_max")
 
-    patterns = _read_input(source)
-    require_common_window(patterns, "pooled patterns")
-    window = patterns[0].window
+    sources = _input_sources(source)
+    window = sources[0].window
     if r_max is None:
         grid = default_r_grid(window, a, n_grid)
     else:
@@ -280,10 +308,14 @@ def cmd_estimate(args, config) -> None:
         grid = np.linspace(0.0, r_max, n_grid)
     r_max = float(grid[-1])  # linspace writes its endpoint exactly
 
-    core = partial(replicate_numerators, directions=[_AXES[d] for d in directions],
-                   kinds=kinds, r_grid=grid, aspects=[a])
+    reduce = partial(replicate_numerators, directions=[_AXES[d] for d in directions],
+                     kinds=kinds, r_grid=grid, aspects=[a])
+    _, windows, numerators = zip(*parallel_map(
+        partial(reduce_replicate, reduce=reduce, sides=window.sides, min_points=0),
+        sources, threads))
+    require_common_window(windows, "pooled patterns")
     # (kind, direction, radius) pooled over replicates; columns are kind-major
-    pooled = ratio_of_sums(parallel_map(core, patterns, threads))[0]
+    pooled = ratio_of_sums(numerators)[0]
 
     prefixes = [""] if len(kinds) == 1 else [f"{kind}_" for kind in kinds]
     header = ["r_cl"] + [f"{prefix}K_{d}" for prefix in prefixes for d in directions]
@@ -291,7 +323,7 @@ def cmd_estimate(args, config) -> None:
     comments = [
         "aniso3d estimate",
         f"input = {source}",
-        f"patterns = {len(patterns)}",
+        f"patterns = {len(sources)}",
         f"kind = {','.join(kinds)}",
         f"aspect = {a!r}",
         f"r_max = {r_max!r}",
@@ -319,22 +351,24 @@ def cmd_power(args, config) -> None:
         flags = [_flag(k) for k in _MODEL_KEYS if getattr(args, k) is not None]
         if flags:
             raise ValueError(f"--input excludes the model flags, got {', '.join(flags)}")
-        patterns = _read_input(source)
-        window, m = patterns[0].window, len(patterns)
+        sources = _input_sources(source)
         origin = f"input = {source}"
     else:
         model = _model_from(args, config)
-        m = _resolve(args, config, "m", required=True)
         sim_window = _resolve(args, config, "window")
-        window = model.replicate_window(sim_window)
+        sources = [(model, sim_window, seed, i)
+                   for i in range(_resolve(args, config, "m", required=True))]
         origin = " ".join(f"{k}={v}" for k, v in model.describe().items())
+    m = len(sources)
+    if m < 2:  # check_sweep's rule, naming the flag that sets the count
+        raise ValueError(f"{'--m' if source is None else '--input'} needs at least 2 "
+                         f"replicates for the test, got {m}")
     cfg = TestConfig(kind=kinds[0], a=a_list[0], r2=r2_list[-1], alpha_level=level,
                      grid_points=n_grid)
     # refused before a campaign is simulated, against the window it will have
-    check_sweep(window, m, cfg, r2_list, kinds, a_list, "--r2-grid entry")
-    if source is None:
-        patterns = simulate_campaign(model, sim_window, m, seed, threads)
-    curve = power_curve_from_patterns(patterns, cfg, r2_list, kinds=kinds,
+    check_sweep(source_window(sources[0]), m, cfg, r2_list, kinds, a_list, "--r2-grid entry")
+    # one pool job per replicate simulates or reads it and reduces it to statistics
+    curve = power_curve_from_patterns(sources, cfg, r2_list, kinds=kinds,
                                       threads=threads, aspects=a_list)
     row_aspects = [a for a in a_list for _ in r2_list]
     rows = [[a, r2, p_cn, p_cl, m, seed] for a, (r2, p_cn, p_cl) in zip(row_aspects, curve)]

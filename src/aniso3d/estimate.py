@@ -344,13 +344,13 @@ def k_profile(pattern: PointPattern, u, kind: str, r_grid, a: float) -> KProfile
     return pooled_profile([pattern], u, kind, r_grid, a)
 
 
-def require_common_window(patterns, what: str) -> None:
-    """Raise ValueError unless every pattern has the first one's window sides."""
-    sides = patterns[0].window.sides
-    for p in patterns[1:]:
-        if not np.array_equal(p.window.sides, sides):
+def require_common_window(windows, what: str) -> None:
+    """Raise ValueError unless every window has the first one's sides."""
+    sides = windows[0].sides
+    for w in windows[1:]:
+        if not np.array_equal(w.sides, sides):
             raise ValueError(
-                f"{what} must share the window shape: {p.window.sides} "
+                f"{what} must share the window shape: {w.sides} "
                 f"differs from {sides}"
             )
 
@@ -367,7 +367,7 @@ def pooled_profile(patterns, u, kind: str, r_grid, a: float) -> KProfile:
     check_kinds([kind])
     u = as_direction(u)
     r_grid = _check_grid(r_grid)
-    require_common_window(patterns, "pooled patterns")
+    require_common_window([p.window for p in patterns], "pooled patterns")
     if r_grid.size == 0:
         return KProfile(kind, u, r_grid, np.empty(0), a)
     check_r_max(patterns[0].window, a, r_grid[-1], "r_grid entry")

@@ -12,19 +12,24 @@ Isotropy is rejected for a replicate when its T_z exceeds the empirical
 rejected fraction.  `power_curve_from_patterns` sweeps the integration
 bound r2, and optionally the aspect ratio a, on one set of replicates,
 such as a campaign from `simulate_campaign`.  Every statistic takes one
-path, one pool job per replicate: its x, y and z profiles of every kind
-and aspect come from one pair extraction (at the largest aspect's
-extent) and one kernel call on an even grid over [0, max r2], and
-`_statistics`, the one definition of T_xy and T_z, integrates their
-absolute differences up to each bound with one trapezoidal rule inside
-the worker, so only the statistics return to the main process.  There
+path, one pool job per replicate, which materialises the replicate from
+its source (the pattern itself, a pattern-file path it reads, or a
+campaign key ``(model, window, seed, i)`` it simulates) and reduces it:
+its x, y and z profiles of every kind and aspect come from one pair
+extraction (at the largest aspect's extent) and one kernel call on an
+even grid over [0, max r2], and `_statistics`, the one definition of
+T_xy and T_z, integrates their absolute differences up to each bound
+with one trapezoidal rule inside the worker, so only the statistics
+return to the main process.  There
 one sort along the replicate axis gives every (aspect, kind, bound)
 threshold, and the decisions come back as arrays.  `run_test` is the
 sweep at a single bound, kind and aspect, and `t_xy` and `t_z` apply
 `_statistics` to one profile triple.  `check_sweep` states the sweep's
 rules once, and the CLI calls it before it simulates; a request it
-refuses, windows of different shapes or a replicate with fewer than 2
-points raise ValueError before any pair is extracted.
+refuses raises ValueError before any pair is extracted.  A replicate
+whose window shape differs from the first one's, or with fewer than 2
+points, is reduced to nothing in its job and refused with ValueError
+once every job is back, before any decision.
 
 The size of the test is at most alpha and usually well below it.  Under
 isotropy in a cube T_xy, T_xz and T_yz are exchangeable, so each single
@@ -47,6 +52,7 @@ from .estimate import (KINDS, check_kinds, check_r_max, replicate_numerators,
 from .estimate import pair_numerators  # unused; perfbench/tracecli.py wraps this name
 from .estimate import pattern_pairs  # unused; perfbench/tracecli.py wraps this name
 from .geometry import X_AXIS, Y_AXIS, Z_AXIS
+from .patternio import reduce_replicate, source_window
 
 __all__ = [
     "TestConfig",
@@ -189,9 +195,13 @@ def check_sweep(window, m: int, cfg: TestConfig, r2_grid, kinds, aspects, what: 
         raise ValueError("r2_grid must be nonempty and strictly ascending")
     if not r2_grid[0] > cfg.r1:
         raise ValueError("every r2 must exceed r1")
+    not_a_list = ValueError(f"aspects must be a list of aspect ratios, got {aspects!r}")
     if isinstance(aspects, str) or not np.iterable(aspects):
-        raise ValueError(f"aspects must be a list of aspect ratios, got {aspects!r}")
-    aspects = [float(a) for a in aspects]
+        raise not_a_list
+    try:
+        aspects = [float(a) for a in aspects]
+    except (TypeError, ValueError):  # an entry that is not a number
+        raise not_a_list from None
     if not aspects:
         raise ValueError("need at least one aspect ratio")
     kinds = check_kinds(kinds)
@@ -202,24 +212,31 @@ def check_sweep(window, m: int, cfg: TestConfig, r2_grid, kinds, aspects, what: 
     return r2_grid, kinds, aspects
 
 
-def _sweep(patterns, cfg: TestConfig, r2_grid, kinds, aspects, threads: int):
+def _sweep(sources, cfg: TestConfig, r2_grid, kinds, aspects, threads: int):
     """The statistics (replicate, aspect, kind, 2, bound), the thresholds
     (aspect, kind, bound) and the rejections (replicate, aspect, kind, bound)
     of a sweep, which `check_sweep` checks before any work, on replicates of
     one window shape and at least 2 points each.  ``cfg`` supplies ``r1``,
-    ``alpha_level`` and ``grid_points``."""
-    patterns = list(patterns)
-    r2_grid, kinds, aspects = check_sweep(patterns[0].window if patterns else None,
-                                          len(patterns), cfg, r2_grid, kinds, aspects, "r2")
-    require_common_window(patterns, "replicates")
-    sparse = [i for i, p in enumerate(patterns) if p.n < 2]
+    ``alpha_level`` and ``grid_points``.  Each replicate source is
+    materialised and reduced to its statistics in one pool job; a replicate
+    of another window shape or fewer than 2 points is reduced to nothing,
+    and refused here before any decision."""
+    sources = list(sources)
+    window = source_window(sources[0]) if sources else None
+    r2_grid, kinds, aspects = check_sweep(window, len(sources), cfg, r2_grid, kinds, aspects,
+                                          "r2")
+    r_grid = np.linspace(0.0, float(r2_grid[-1]), cfg.grid_points)
+    reduce = partial(_replicate_statistics, kinds=kinds, aspects=aspects, r_grid=r_grid,
+                     r1=cfg.r1, r2_grid=r2_grid.tolist())
+    counts, windows, stats = zip(*parallel_map(
+        partial(reduce_replicate, reduce=reduce, sides=window.sides, min_points=2),
+        sources, threads))
+    require_common_window(windows, "replicates")
+    sparse = [i for i, n in enumerate(counts) if n < 2]
     if sparse:
         raise ValueError(f"replicates {sparse} have fewer than 2 points; every replicate "
                          "needs at least 2 to estimate its intensity")
-    r_grid = np.linspace(0.0, float(r2_grid[-1]), cfg.grid_points)
-    stats = np.array(parallel_map(partial(_replicate_statistics, kinds=kinds, aspects=aspects,
-                                          r_grid=r_grid, r1=cfg.r1, r2_grid=r2_grid.tolist()),
-                                  patterns, threads))
+    stats = np.array(stats)
     thresholds = _nearest_rank_quantile(stats[:, :, :, 0], 1.0 - cfg.alpha_level)
     return stats, thresholds, stats[:, :, :, 1] > thresholds
 
@@ -257,7 +274,10 @@ def power_curve_from_patterns(
     aspects=None,
 ):
     """Powers over integration bounds ``r2_grid`` and aspect ratios
-    ``aspects`` for replicated patterns.
+    ``aspects`` for replicated patterns.  An entry of ``patterns`` may
+    also be a replicate's source, a pattern-file path or a campaign key
+    ``(model, window, seed, i)``, which the pool job that reduces the
+    replicate reads or simulates; so may an entry of `run_test`'s.
 
     Each replicate's pairs are extracted once, at the extent of the
     largest aspect, and its profiles of every kind and aspect are

@@ -4,15 +4,21 @@ Pattern files are toolchain-neutral text: comment lines start with '#',
 the first data line is ``window x_lo x_hi y_lo y_hi z_lo z_hi``, and each
 following line holds one ``x y z`` point.  Floats are written with
 round-trip precision, so write-then-read reproduces coordinates exactly.
+
+A replicate's source is a `PointPattern` (itself), a pattern-file path,
+or a campaign key ``(model, window, seed, i)``.  `reduce_replicate` is the
+one pool job that turns a source into its pattern and reduces it in the
+same process, so that only paths, keys and reductions cross the pipe.
 """
 
 import os
 
 import numpy as np
 
-from .simulate import BoxWindow, PointPattern
+from .simulate import BoxWindow, PointPattern, _campaign_replicate
 
-__all__ = ["write_pattern", "read_pattern", "read_patterns", "pattern_names", "write_csv"]
+__all__ = ["write_pattern", "read_pattern", "read_patterns", "pattern_names", "pattern_paths",
+           "write_csv"]
 
 
 def _fmt(value: float) -> str:
@@ -108,18 +114,54 @@ def pattern_names(directory) -> list:
                   if n.endswith(".txt") and not n.startswith("manifest"))
 
 
-def read_patterns(source) -> list:
-    """Read every pattern under a directory (sorted) or from explicit paths."""
+def pattern_paths(source) -> list:
+    """The pattern files of a directory (sorted), one path, or a list of paths."""
     if isinstance(source, (str, os.PathLike)) and os.path.isdir(source):
         names = pattern_names(source)
         if not names:
             raise ValueError(f"no pattern files (*.txt) found in {source}")
-        paths = [os.path.join(source, n) for n in names]
-    elif isinstance(source, (str, os.PathLike)):
-        paths = [source]
-    else:
-        paths = list(source)
-    return [read_pattern(p) for p in paths]
+        return [os.path.join(source, n) for n in names]
+    if isinstance(source, (str, os.PathLike)):
+        return [source]
+    return list(source)
+
+
+def read_patterns(source) -> list:
+    """Read every pattern under a directory (sorted) or from explicit paths."""
+    return [read_pattern(p) for p in pattern_paths(source)]
+
+
+def replicate_pattern(source) -> PointPattern:
+    """The pattern of a replicate source: a `PointPattern` is itself, a campaign
+    key ``(model, window, seed, i)`` is simulated, and a path is read."""
+    if isinstance(source, PointPattern):
+        return source
+    if isinstance(source, tuple):
+        return _campaign_replicate(source)
+    return read_pattern(source)
+
+
+def source_window(source) -> BoxWindow:
+    """The window of a replicate source; of the three, only a path is read for it."""
+    if isinstance(source, tuple):
+        model, window = source[:2]
+        return model.replicate_window(window)
+    return replicate_pattern(source).window
+
+
+def reduce_replicate(source, reduce, sides, min_points: int):
+    """One pool job: a replicate's point count, its window and
+    ``reduce(pattern)``, materialised from ``source`` and reduced in one process.
+
+    The reduction is None, and ``reduce`` is not called, for a replicate of
+    fewer than ``min_points`` points or whose window sides differ from
+    ``sides``: the caller refuses those, with its own message, once every
+    job is back.
+    """
+    pattern = replicate_pattern(source)
+    if pattern.n < min_points or not np.array_equal(pattern.window.sides, sides):
+        return pattern.n, pattern.window, None
+    return pattern.n, pattern.window, reduce(pattern)
 
 
 def write_csv(path, header, rows, comments=()) -> None:

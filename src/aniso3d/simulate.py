@@ -167,7 +167,8 @@ class HardCoreSpec:
             )
 
 
-def replicate_rng(seed) -> np.random.Generator:
+# the annotation is a string, so that importing this module loads no numpy.random
+def replicate_rng(seed) -> "np.random.Generator":
     """Counter-based RNG stream keyed by ``seed``.
 
     ``seed`` may be an int or a tuple of ints; campaigns key replicate
@@ -332,7 +333,6 @@ def simulate_packing(
         skin = 0.3 * target
         d_cur = 0.8 * goal
         drift = np.zeros_like(pos)
-        shift = np.empty_like(pos)
         reach = 0.0  # no neighbour list yet: the first sweep builds one
         for _ in range(max_sweeps):
             # a pair now closer than d_cur was closer than d_cur + 2 max|drift|
@@ -362,14 +362,16 @@ def simulate_packing(
                 dist[coincident] = 1e-9 * target
             # overshoot so resolved pairs end up strictly clear
             push = (0.55 * (d_cur - dist) + floor) / dist * delta
-            # one pass over i then j sums each point's pushes in np.add.at order
+            # one pass over i then j sums each point's pushes in np.add.at order;
+            # component k of point p is bin k*n + p of one bincount
             ends = np.concatenate([i, j])
             weights = np.concatenate([-push, push], axis=1)
-            for k in range(3):
-                shift[k] = np.bincount(ends, weights[k], n)
+            bins = np.concatenate([ends, ends + n, ends + 2 * n])
+            shift = np.bincount(bins, weights.ravel(), 3 * n).reshape(3, n)
             pos += shift
             drift += shift
-            np.remainder(pos, col, out=pos)
+            # a center inside [0, side) is its own remainder
+            np.remainder(pos, col, out=pos, where=(pos < 0.0) | (pos >= col))
             pos[pos >= col] = 0.0  # % can round up to the boundary
             d_cur = min(goal, 1.05 * d_cur)
         achieved = _min_periodic_distance(pos, sides, target)

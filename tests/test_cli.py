@@ -249,6 +249,30 @@ def run_cli(*argv):
     return main([str(a) for a in argv])
 
 
+def test_only_simulating_loads_numpy_random(tmp_path):
+    # its bit generators import secrets, hmac and _hashlib: about 6 MB that
+    # estimate and test, which draw no number, need not hold
+    assert run_cli("simulate", "--model", "poisson", "--rho", "200", "--m", "3",
+                   "--seed", "4", "--out", tmp_path / "campaign") == 0
+    src = os.path.dirname(os.path.dirname(os.path.abspath(aniso3d.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = """if True:
+        import sys
+        from aniso3d.cli import main
+        loaded = ["numpy.random" in sys.modules]
+        for argv in (["estimate", "--input", "campaign", "--r-max", "0.1", "--out", "e.csv"],
+                     ["test", "--input", "campaign", "--r2-grid", "0.05", "--out", "t.csv"],
+                     ["simulate", "--model", "poisson", "--rho", "200", "--m", "2",
+                      "--out", "again"]):
+            assert main(argv + ["--threads", "1"]) == 0
+            loaded.append("numpy.random" in sys.modules)
+        print(loaded)
+    """
+    done = subprocess.run([sys.executable, "-c", code], env=env, cwd=tmp_path,
+                          capture_output=True, text=True, timeout=60, check=True)
+    assert done.stdout.splitlines()[-1] == "[False, False, False, True]"
+
+
 class TestSimulateCommand:
     def test_writes_patterns_and_manifest(self, tmp_path, capsys):
         out = tmp_path / "campaign"
@@ -284,7 +308,7 @@ class TestSimulateCommand:
 
         # a smaller campaign would leave pattern_00002.txt to be pooled with it
         with monkeypatch.context() as patch:
-            patch.setattr("aniso3d.cli.simulate_campaign", unreachable)
+            patch.setattr("aniso3d.simulate.simulate_model", unreachable)
             assert run_cli(*args, "--m", "2", "--seed", "2") == 1
         assert capsys.readouterr().err == (
             f"error: --out {out} holds pattern file pattern_00002.txt, which a campaign "
@@ -293,6 +317,33 @@ class TestSimulateCommand:
         # a larger campaign overwrites every file there
         assert run_cli(*args, "--m", "4", "--seed", "2") == 0
         assert len(read_patterns(out)) == 4
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_failed_campaign_leaves_out_as_found(self, tmp_path, capsys, monkeypatch,
+                                                 threads):
+        out, fresh = tmp_path / "campaign", tmp_path / "fresh"
+
+        def run(target, seed):
+            return run_cli("simulate", "--model", "poisson", "--rho", "100", "--m", "4",
+                           "--seed", seed, "--threads", threads, "--out", target)
+
+        assert run(out, 1) == 0
+        before = {n: (out / n).read_bytes() for n in os.listdir(out)}
+        simulate_model = simulate.simulate_model
+
+        def fails_at_two(model, window, seed):
+            if seed[1] == 2:
+                raise RuntimeError("injected failure")
+            return simulate_model(model, window, seed)
+
+        # forked pool workers inherit the patch
+        monkeypatch.setattr(simulate, "simulate_model", fails_at_two)
+        assert run(out, 2) == 1
+        assert capsys.readouterr().err == (
+            "error: replicate (seed, i) = (2, 2): injected failure\n")
+        assert {n: (out / n).read_bytes() for n in os.listdir(out)} == before
+        assert run(fresh, 2) == 1
+        assert not fresh.exists()
 
     def test_thread_count_does_not_change_output(self, tmp_path):
         outs = []
@@ -472,6 +523,25 @@ class TestEstimateCommand:
         assert (f"error: {bad}: point pattern must be simple (no duplicate points)"
                 in capsys.readouterr().err)
 
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    @pytest.mark.parametrize("command", ["estimate", "test"])
+    def test_first_bad_file_in_input_order_is_named(self, tmp_path, capsys, command,
+                                                     threads):
+        # the pool jobs read the files; the first bad one in --input order is named
+        paths = [tmp_path / f"{name}.txt" for name in ("a", "b", "c", "d")]
+        for i, path in enumerate(paths[:2]):
+            write_pattern(path, simulate_poisson(50.0, unit_cube(), i))
+        paths[2].write_text("window 0 1 0 1 0 1\n0.1 0.2\n")
+        paths[3].write_text("window 0 1 0 1 0 1\n0.1 0.2 nope\n")
+        out = tmp_path / "x.csv"
+        extra = ["--r-max", "0.1"] if command == "estimate" else ["--r2-grid", "0.05"]
+        order = (paths[0], paths[3], paths[1], paths[2])
+        code = run_cli(command, "--input", ",".join(map(str, order)), *extra,
+                       "--threads", threads, "--out", out)
+        assert code == 1 and not out.exists()
+        assert capsys.readouterr().err == (
+            f"error: {paths[3]}:2: malformed coordinates '0.1 0.2 nope'\n")
+
     @pytest.mark.parametrize("argv", [
         ("estimate", "--r-max", "0.1"), ("estimate",),
         ("power", "--r2-grid", "0.01"), ("test", "--r2-grid", "0.01"),
@@ -587,7 +657,7 @@ class TestTestAndPowerCommands:
         def unreachable(*args, **kwargs):
             raise AssertionError("the campaign was simulated")
 
-        monkeypatch.setattr("aniso3d.cli.simulate_campaign", unreachable)
+        monkeypatch.setattr("aniso3d.simulate.simulate_model", unreachable)
         out = tmp_path / "power.csv"
         code = run_cli("power", "--model", "packing", "--rho", "500", "--hardcore-r", "0.05",
                        "--compress-c", "0.7", "--m", "64", "--r2-grid", "0.02,0.6",
@@ -596,11 +666,18 @@ class TestTestAndPowerCommands:
         err = capsys.readouterr().err
         assert "error: --r2-grid entry 0.6 is out of range" in err
         assert "choose --r2-grid entry < 0.313049" in err
-        # one replicate is refused before it is simulated, too
+        # one replicate is refused before it is simulated, too, naming its flag
         code = run_cli("power", "--model", "poisson", "--rho", "100", "--m", "1",
                        "--r2-grid", "0.05", "--out", out)
         assert code == 1 and not out.exists()
-        assert capsys.readouterr().err == "error: the test needs at least 2 replicates, got 1\n"
+        assert capsys.readouterr().err == (
+            "error: --m needs at least 2 replicates for the test, got 1\n")
+        one = tmp_path / "one.txt"
+        write_pattern(one, simulate_poisson(50.0, unit_cube(), 1))
+        code = run_cli("test", "--input", one, "--r2-grid", "0.05", "--out", out)
+        assert code == 1 and not out.exists()
+        assert capsys.readouterr().err == (
+            "error: --input needs at least 2 replicates for the test, got 1\n")
 
     def test_aspect_sweep_rows(self, tmp_path):
         out = tmp_path / "sweep.csv"
@@ -896,12 +973,12 @@ class TestTraceHooks:
     @pytest.mark.parametrize("mode, threads, want", [
         # the modes perfbench/run.py traces with; at --threads 2 the replicates
         # are generated in pool workers, whose spans the tracer does not record
-        ("all", 1, {"parallel.parallel_map": 2, "simulate.simulate_model": 4}),
-        ("parallel", 2, {"parallel.parallel_map": 2, "simulate.simulate_model": 0}),
+        ("all", 1, {"parallel.parallel_map": 1, "simulate.simulate_model": 4}),
+        ("parallel", 2, {"parallel.parallel_map": 1, "simulate.simulate_model": 0}),
     ])
     def test_traced_power_counts_its_spans(self, tmp_path, mode, threads, want):
-        """One span per call the tracer wraps: the campaign's `parallel_map` is
-        lost if `simulate.py` binds it by name before the tracer wraps it."""
+        """One span per call the tracer wraps: `power --model` maps its replicates
+        once, each job simulating one replicate and reducing it to statistics."""
         root = Path(__file__).resolve().parents[1]
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             [str(root / "src"), os.environ.get("PYTHONPATH", "")]))

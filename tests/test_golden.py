@@ -7,6 +7,7 @@ no byte.
 """
 
 import hashlib
+import os
 
 import pytest
 
@@ -25,6 +26,19 @@ def sha256(path):
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
+def directory_sha256(path):
+    """The sorted names and bytes of a directory's files, as perfbench/run.py's
+    ``digest`` hashes an output directory."""
+    h = hashlib.sha256()
+    for name in sorted(os.listdir(path)):
+        h.update(name.encode() + b"\0")
+        h.update((path / name).read_bytes())
+    return h.hexdigest()
+
+
+CAMPAIGN_SHA256 = "2653874c5fa38913f1270c3bc66559fe8d4f9e5ca9d412faeb0ca1ef9ba96e4b"
+
+
 @pytest.fixture(scope="module")
 def campaign_dir(tmp_path_factory):
     """The m = 60 compressed Matérn campaign, simulated with two workers."""
@@ -33,6 +47,17 @@ def campaign_dir(tmp_path_factory):
         run_here(path, mp, "simulate", *MATERN, "--m", "60", "--seed", "20161",
                  "--out", "campaign", "--threads", "2")
     return path
+
+
+def test_campaign_files_with_two_workers(campaign_dir):
+    # the pool jobs write the pattern files, and the main process the manifest
+    assert directory_sha256(campaign_dir / "campaign") == CAMPAIGN_SHA256
+
+
+def test_campaign_files_with_one_worker(tmp_path, monkeypatch):
+    run_here(tmp_path, monkeypatch, "simulate", *MATERN, "--m", "60", "--seed", "20161",
+             "--out", "campaign", "--threads", "1")
+    assert directory_sha256(tmp_path / "campaign") == CAMPAIGN_SHA256
 
 
 def test_columnar_sweep_power(tmp_path, monkeypatch):

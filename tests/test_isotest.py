@@ -20,6 +20,7 @@ from aniso3d.isotest import (
     t_xy,
     t_z,
 )
+from aniso3d.patternio import write_pattern
 from aniso3d.simulate import (
     BoxWindow,
     ModelSpec,
@@ -272,6 +273,22 @@ class TestPowerCurve:
                     pats, TestConfig(kind="conical", a=a, r2=0.06, r1=base.r1), bounds)
             assert rows == singles
 
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_sources_give_the_rows_of_their_patterns(self, tmp_path, threads):
+        # a campaign key is simulated and a path read in the job that reduces it
+        model, window = ModelSpec.plcpp(300.0, 100.0, 0.02), unit_cube()
+        pats = simulate_campaign(model, window, 6, seed=23)
+        paths = [tmp_path / f"p{i}.txt" for i in range(len(pats))]
+        for path, pattern in zip(paths, pats):
+            write_pattern(path, pattern)
+        keys = [(model, window, 23, i) for i in range(len(pats))]
+        want = power_curve_from_patterns(pats, cfg(r2=0.06), [0.02, 0.06])
+        for sources in (keys, paths, [pats[0]] + paths[1:]):
+            assert power_curve_from_patterns(sources, cfg(r2=0.06), [0.02, 0.06],
+                                             threads=threads) == want
+        res, want = run_test(keys, cfg(r2=0.06), threads=threads), run_test(pats, cfg(r2=0.06))
+        npt.assert_array_equal(res.t_z, want.t_z)
+
     def test_pinned_aspect_sweep_table(self):
         # fixed-seed powers per (aspect, bound), aspect-major
         pats = simulate_campaign(ModelSpec.plcpp(300.0, 100.0, 0.02), unit_cube(), 20, seed=21)
@@ -305,6 +322,13 @@ class TestPowerCurve:
         with pytest.raises(ValueError,
                            match=r"^aspects must be a list of aspect ratios, got 2\.0$"):
             power_curve_from_patterns(pats, cfg(), [0.05], aspects=2.0)
+        # nor is an entry that is not a number
+        with pytest.raises(ValueError,
+                           match=r"^aspects must be a list of aspect ratios, got \[\[2\.0\]\]$"):
+            power_curve_from_patterns(pats, cfg(), [0.05], aspects=[[2.0]])
+        with pytest.raises(ValueError,
+                           match=r"^aspects must be a list of aspect ratios, got \[2\.0, 'a'\]$"):
+            power_curve_from_patterns(pats, cfg(), [0.05], aspects=[2.0, "a"])
 
     def test_deterministic_campaign(self):
         model = ModelSpec.plcpp(500.0, 200.0, 0.01)
