@@ -23,13 +23,12 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .estimate import (check_r_max, default_r_grid, ratio_of_sums, replicate_numerators,
-                       require_common_window)
+from .estimate import check_r_max, default_r_grid, pooled_k
 from .estimate import pooled_profile  # unused; perfbench/tracecli.py wraps this name
 from .geometry import X_AXIS, Y_AXIS, Z_AXIS
 from .isotest import TestConfig, check_sweep, power_curve_from_patterns
-from .patternio import (pattern_names, pattern_paths, reduce_replicate, replicate_pattern,
-                        source_window, write_csv, write_pattern)
+from .patternio import (pattern_names, pattern_paths, replicate_pattern, source_window,
+                        write_csv, write_pattern)
 from .patternio import read_patterns  # unused; perfbench/tracecli.py wraps this name
 from .simulate import MODEL_PARAMS, BoxWindow, ModelSpec
 from .simulate import simulate_campaign  # unused; perfbench/tracecli.py wraps this name
@@ -308,14 +307,8 @@ def cmd_estimate(args, config) -> None:
         grid = np.linspace(0.0, r_max, n_grid)
     r_max = float(grid[-1])  # linspace writes its endpoint exactly
 
-    reduce = partial(replicate_numerators, directions=[_AXES[d] for d in directions],
-                     kinds=kinds, r_grid=grid, aspects=[a])
-    _, windows, numerators = zip(*parallel_map(
-        partial(reduce_replicate, reduce=reduce, sides=window.sides, min_points=0),
-        sources, threads))
-    require_common_window(windows, "pooled patterns")
     # (kind, direction, radius) pooled over replicates; columns are kind-major
-    pooled = ratio_of_sums(numerators)[0]
+    pooled = pooled_k(sources, [_AXES[d] for d in directions], kinds, grid, [a], threads)[0]
 
     prefixes = [""] if len(kinds) == 1 else [f"{kind}_" for kind in kinds]
     header = ["r_cl"] + [f"{prefix}K_{d}" for prefix in prefixes for d in directions]

@@ -16,10 +16,13 @@ grid point, in one pass over the pairs.
 """
 
 import math
+import sys
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
+from . import _parallel
 from .geometry import (
     ConeParams,
     CylinderParams,
@@ -30,6 +33,7 @@ from .geometry import (
     close_pairs,
     equal_shape_link,
 )
+from .patternio import reduce_replicate, source_window
 from .simulate import BoxWindow, PointPattern
 
 __all__ = [
@@ -199,10 +203,13 @@ def profile_extent(r_max: float, a: float) -> float:
 
 
 def check_r_max(window: BoxWindow, a: float, r_max: float, what: str) -> None:
-    """The one admissible-radius rule, checked before any work: refuse a radius
+    """The one window-validity rule, checked before any work: refuse a radius
     whose search extent reaches the smallest window side, and ``a <= 1`` as
     `equal_shape_link` does.  The message names the radius ``what`` and the
-    largest admissible one, rounded down to 6 digits so every smaller one passes."""
+    largest admissible one, rounded down to 6 digits so every smaller one passes.
+    Then refuse a window whose side products ``sx * sy`` and ``(sx * sy) * sz``,
+    which the translation weights form, or whose squared volume, the
+    denominator of `intensity_sq_hat`, leaves the normal float range."""
     side = float(np.min(window.sides))
     if profile_extent(r_max, a) >= side:
         bound = side / profile_extent(1.0, a)  # the extent is linear in r_max
@@ -211,6 +218,15 @@ def check_r_max(window: BoxWindow, a: float, r_max: float, what: str) -> None:
             f"{what} {r_max:.6g} is out of range for this window: the derived "
             f"element extent must stay below the smallest side, so choose "
             f"{what} < {math.floor(bound / unit) * unit:.6g}"
+        )
+    sx, sy, sz = window.sides.tolist()  # Python floats, which overflow to inf silently
+    volume = (sx * sy) * sz
+    if not all(sys.float_info.min <= p <= sys.float_info.max
+               for p in (sx * sy, volume, volume * volume)):
+        raise ValueError(
+            f"window sides {window.sides} are out of scale: their products and the "
+            f"squared volume must stay in the normal float range "
+            f"[{sys.float_info.min:.6g}, {sys.float_info.max:.6g}]"
         )
 
 
@@ -315,18 +331,6 @@ def replicate_numerators(pattern: PointPattern, directions, kinds, r_grid, aspec
     return pair_numerators(pairs, directions, kinds, r_grid, aspects), mass
 
 
-def ratio_of_sums(replicates) -> np.ndarray:
-    """Pool ``(numerators, mass)`` pairs: both summed in replicate order,
-    then divided once."""
-    numer, denom = 0.0, 0.0
-    for num, mass in replicates:
-        numer = numer + num
-        denom += mass
-    if denom == 0.0:
-        raise ValueError("pooled patterns contain no point pairs")
-    return numer / denom
-
-
 def k_profile(pattern: PointPattern, u, kind: str, r_grid, a: float) -> KProfile:
     """Estimate one K-function over a grid of cylinder radii: the pool of
     one pattern, which needs at least 2 points.
@@ -344,35 +348,45 @@ def k_profile(pattern: PointPattern, u, kind: str, r_grid, a: float) -> KProfile
     return pooled_profile([pattern], u, kind, r_grid, a)
 
 
-def require_common_window(windows, what: str) -> None:
-    """Raise ValueError unless every window has the first one's sides."""
-    sides = windows[0].sides
-    for w in windows[1:]:
-        if not np.array_equal(w.sides, sides):
-            raise ValueError(
-                f"{what} must share the window shape: {w.sides} "
-                f"differs from {sides}"
-            )
+def pooled_k(sources, directions, kinds, r_grid, aspects, threads: int = 1) -> np.ndarray:
+    """The one pooling path: K of each (aspect, kind, direction, radius) cell over
+    a nonempty list of replicate sources.  The nonempty ``r_grid`` passes
+    `check_r_max` against the first source's window before any work; then one
+    pool job per replicate, which refuses another window shape, gives its
+    `replicate_numerators`, and these are summed in replicate order and divided
+    once (ratio of sums).  ``kinds`` must pass `check_kinds`."""
+    window = source_window(sources[0])
+    check_r_max(window, max(aspects), r_grid[-1], "r_grid entry")
+    reduce = partial(replicate_numerators, directions=directions, kinds=kinds, r_grid=r_grid,
+                     aspects=aspects)
+    job = partial(reduce_replicate, reduce=reduce, sides=window.sides, what="pooled patterns")
+    numer, denom = 0.0, 0.0
+    # looked up on the module at call time, where perfbench/tracecli.py wraps it
+    for _, (num, mass) in _parallel.parallel_map(job, sources, threads):
+        numer = numer + num
+        denom += mass
+    if denom == 0.0:
+        raise ValueError("pooled patterns contain no point pairs")
+    return numer / denom
 
 
-def pooled_profile(patterns, u, kind: str, r_grid, a: float) -> KProfile:
+def pooled_profile(sources, u, kind: str, r_grid, a: float) -> KProfile:
     """Pool one K-function over replicated patterns by ratio of sums, the
     one pooling rule: the summed edge-weighted pair counts over the summed
     ``rho2_hat`` mass, so replicates with more points carry more weight and
-    replicates with fewer than 2 points add nothing.
+    replicates with fewer than 2 points add nothing.  An entry of ``sources``
+    may be a pattern or, as for `run_test`, a pattern-file path or a campaign
+    key ``(model, window, seed, i)``.  This is the one-cell case of `pooled_k`.
     """
-    patterns = list(patterns)
-    if not patterns:
+    sources = list(sources)
+    if not sources:
         raise ValueError("need at least one pattern to pool")
     check_kinds([kind])
     u = as_direction(u)
     r_grid = _check_grid(r_grid)
-    require_common_window([p.window for p in patterns], "pooled patterns")
     if r_grid.size == 0:
         return KProfile(kind, u, r_grid, np.empty(0), a)
-    check_r_max(patterns[0].window, a, r_grid[-1], "r_grid entry")
-    replicates = (replicate_numerators(p, [u], [kind], r_grid, [a]) for p in patterns)
-    return KProfile(kind, u, r_grid, ratio_of_sums(replicates)[0, 0, 0], a)
+    return KProfile(kind, u, r_grid, pooled_k(sources, [u], [kind], r_grid, [a])[0, 0, 0], a)
 
 
 def default_r_grid(window: BoxWindow, a: float, n: int = 512) -> np.ndarray:

@@ -27,9 +27,9 @@ sweep at a single bound, kind and aspect, and `t_xy` and `t_z` apply
 `_statistics` to one profile triple.  `check_sweep` states the sweep's
 rules once, and the CLI calls it before it simulates; a request it
 refuses raises ValueError before any pair is extracted.  A replicate
-whose window shape differs from the first one's, or with fewer than 2
-points, is reduced to nothing in its job and refused with ValueError
-once every job is back, before any decision.
+whose window shape differs from the first one's is refused in its own
+job, so the first fault in input order is reported; one of fewer than 2
+points is reduced to nothing and refused once every job is back.
 
 The size of the test is at most alpha and usually well below it.  Under
 isotropy in a cube T_xy, T_xz and T_yz are exchangeable, so each single
@@ -47,8 +47,7 @@ from functools import partial
 import numpy as np
 
 from ._parallel import parallel_map
-from .estimate import (KINDS, check_kinds, check_r_max, replicate_numerators,
-                       require_common_window)
+from .estimate import KINDS, check_kinds, check_r_max, replicate_numerators
 from .estimate import pair_numerators  # unused; perfbench/tracecli.py wraps this name
 from .estimate import pattern_pairs  # unused; perfbench/tracecli.py wraps this name
 from .geometry import X_AXIS, Y_AXIS, Z_AXIS
@@ -178,7 +177,9 @@ def _nearest_rank_quantile(values: np.ndarray, q: float):
 
 def _replicate_statistics(pattern, kinds, aspects, r_grid, r1, r2_grid) -> np.ndarray:
     """T_xy and T_z of one replicate at every bound, shape (aspect, kind, 2,
-    bound), from one `replicate_numerators` call."""
+    bound), from one `replicate_numerators` call; None below 2 points."""
+    if pattern.n < 2:
+        return None
     numerators, mass = replicate_numerators(pattern, _AXES, kinds, r_grid, aspects)
     return _statistics(*np.moveaxis(numerators / mass, 2, 0), r_grid, r1, r2_grid)
 
@@ -218,9 +219,9 @@ def _sweep(sources, cfg: TestConfig, r2_grid, kinds, aspects, threads: int):
     of a sweep, which `check_sweep` checks before any work, on replicates of
     one window shape and at least 2 points each.  ``cfg`` supplies ``r1``,
     ``alpha_level`` and ``grid_points``.  Each replicate source is
-    materialised and reduced to its statistics in one pool job; a replicate
-    of another window shape or fewer than 2 points is reduced to nothing,
-    and refused here before any decision."""
+    materialised and reduced to its statistics in one pool job, which
+    refuses another window shape; a replicate of fewer than 2 points is
+    reduced to nothing, and refused here before any decision."""
     sources = list(sources)
     window = source_window(sources[0]) if sources else None
     r2_grid, kinds, aspects = check_sweep(window, len(sources), cfg, r2_grid, kinds, aspects,
@@ -228,10 +229,9 @@ def _sweep(sources, cfg: TestConfig, r2_grid, kinds, aspects, threads: int):
     r_grid = np.linspace(0.0, float(r2_grid[-1]), cfg.grid_points)
     reduce = partial(_replicate_statistics, kinds=kinds, aspects=aspects, r_grid=r_grid,
                      r1=cfg.r1, r2_grid=r2_grid.tolist())
-    counts, windows, stats = zip(*parallel_map(
-        partial(reduce_replicate, reduce=reduce, sides=window.sides, min_points=2),
+    counts, stats = zip(*parallel_map(
+        partial(reduce_replicate, reduce=reduce, sides=window.sides, what="replicates"),
         sources, threads))
-    require_common_window(windows, "replicates")
     sparse = [i for i, n in enumerate(counts) if n < 2]
     if sparse:
         raise ValueError(f"replicates {sparse} have fewer than 2 points; every replicate "

@@ -8,7 +8,8 @@ round-trip precision, so write-then-read reproduces coordinates exactly.
 A replicate's source is a `PointPattern` (itself), a pattern-file path,
 or a campaign key ``(model, window, seed, i)``.  `reduce_replicate` is the
 one pool job that turns a source into its pattern and reduces it in the
-same process, so that only paths, keys and reductions cross the pipe.
+same process, so that only paths, keys and reductions cross the pipe, and
+refuses a replicate whose window shape differs from the first one's.
 """
 
 import os
@@ -149,19 +150,19 @@ def source_window(source) -> BoxWindow:
     return replicate_pattern(source).window
 
 
-def reduce_replicate(source, reduce, sides, min_points: int):
-    """One pool job: a replicate's point count, its window and
-    ``reduce(pattern)``, materialised from ``source`` and reduced in one process.
+def reduce_replicate(source, reduce, sides, what: str):
+    """One pool job: a replicate's point count and ``reduce(pattern)``,
+    materialised from ``source`` and reduced in one process.
 
-    The reduction is None, and ``reduce`` is not called, for a replicate of
-    fewer than ``min_points`` points or whose window sides differ from
-    ``sides``: the caller refuses those, with its own message, once every
-    job is back.
+    A replicate whose window sides differ from ``sides``, the first
+    replicate's, is refused here with ValueError naming ``what``, so the
+    first fault in input order is the one reported, at any worker count.
     """
     pattern = replicate_pattern(source)
-    if pattern.n < min_points or not np.array_equal(pattern.window.sides, sides):
-        return pattern.n, pattern.window, None
-    return pattern.n, pattern.window, reduce(pattern)
+    if not np.array_equal(pattern.window.sides, sides):
+        raise ValueError(f"{what} must share the window shape: {pattern.window.sides} "
+                         f"differs from {sides}")
+    return pattern.n, reduce(pattern)
 
 
 def write_csv(path, header, rows, comments=()) -> None:

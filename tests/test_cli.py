@@ -1,5 +1,6 @@
 """Tests for pattern file I/O and the command-line interface."""
 
+import ast
 import concurrent.futures
 import importlib
 import importlib.util
@@ -19,12 +20,12 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import aniso3d
-from aniso3d import _parallel, cli, estimate, simulate
+from aniso3d import _parallel, cli, estimate, patternio, simulate
 from aniso3d.cli import main
 from aniso3d.estimate import pooled_profile
 from aniso3d.geometry import X_AXIS, Y_AXIS, Z_AXIS
-from aniso3d.patternio import read_pattern, read_patterns, write_pattern
-from aniso3d.simulate import BoxWindow, PointPattern, simulate_poisson, unit_cube
+from aniso3d.patternio import pattern_paths, read_pattern, read_patterns, write_pattern
+from aniso3d.simulate import BoxWindow, ModelSpec, PointPattern, simulate_poisson, unit_cube
 
 
 EMPTY_WINDOW = "window must have positive extent, got lo=[0. 1. 0.], hi=[1. 0. 1.]"
@@ -249,6 +250,12 @@ def run_cli(*argv):
     return main([str(a) for a in argv])
 
 
+def uniform_cube(side, n, seed):
+    """``n`` uniform points in a cube of the given side."""
+    points = side * np.random.default_rng(seed).uniform(size=(n, 3))
+    return PointPattern(points, BoxWindow(np.zeros(3), np.full(3, side)))
+
+
 def test_only_simulating_loads_numpy_random(tmp_path):
     # its bit generators import secrets, hmac and _hashlib: about 6 MB that
     # estimate and test, which draw no number, need not hold
@@ -442,11 +449,15 @@ class TestEstimateCommand:
         tail = data[-1]
         assert tail[3] > 1.2 * max(tail[1], tail[2])
 
-    def test_refuses_out_of_range_radius(self, campaign, tmp_path, capsys):
+    def test_refuses_out_of_range_radius(self, campaign, tmp_path, capsys, monkeypatch):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("the pool started")
+
+        monkeypatch.setattr("aniso3d._parallel.parallel_map", unreachable)
         code = run_cli("estimate", "--input", campaign, "--r-max", "0.6",
                        "--out", tmp_path / "x.csv")
         assert code == 1
-        assert "out of range" in capsys.readouterr().err
+        assert "error: --r-max 0.6 is out of range" in capsys.readouterr().err
 
     def test_refuses_sliver_below_validity_bound(self, campaign, tmp_path, capsys):
         # below 1/sqrt(5), where the cone's slant meets the side, but the
@@ -542,6 +553,54 @@ class TestEstimateCommand:
         assert capsys.readouterr().err == (
             f"error: {paths[3]}:2: malformed coordinates '0.1 0.2 nope'\n")
 
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    @pytest.mark.parametrize("command, what", [("estimate", "pooled patterns"),
+                                               ("test", "replicates")])
+    def test_foreign_window_is_refused_in_input_order(self, tmp_path, capsys, command, what,
+                                                      threads):
+        # the job that reads the 2x1x1 file refuses it, so a later file's fault
+        # is not the one named, at any worker count
+        paths = [tmp_path / f"{name}.txt" for name in ("cube", "wide", "nan")]
+        write_pattern(paths[0], simulate_poisson(50.0, unit_cube(), 1))
+        wide = BoxWindow(np.zeros(3), np.array([2.0, 1.0, 1.0]))
+        write_pattern(paths[1], simulate_poisson(50.0, wide, 2))
+        paths[2].write_text("window 0 1 0 1 0 1\n0.1 nan 0.3\n")
+        out = tmp_path / "x.csv"
+        extra = ["--r-max", "0.1"] if command == "estimate" else ["--r2-grid", "0.05"]
+        code = run_cli(command, "--input", ",".join(map(str, paths)), *extra,
+                       "--threads", threads, "--out", out)
+        assert code == 1 and not out.exists()
+        assert capsys.readouterr().err == (
+            f"error: {what} must share the window shape: [2. 1. 1.] differs from [1. 1. 1.]\n")
+
+    @pytest.mark.parametrize("command", ["estimate", "test"])
+    def test_each_input_file_is_read_once(self, campaign, tmp_path, monkeypatch, command):
+        reads = []
+        read = patternio.read_pattern
+        monkeypatch.setattr(patternio, "read_pattern",
+                            lambda path: reads.append(str(path)) or read(path))
+        extra = ["--r-max", "0.1"] if command == "estimate" else ["--r2-grid", "0.05"]
+        assert run_cli(command, "--input", campaign, *extra, "--grid", "16",
+                       "--threads", "1", "--out", tmp_path / "x.csv") == 0
+        assert sorted(reads) == sorted(map(str, pattern_paths(campaign)))
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    @pytest.mark.parametrize("command", ["estimate", "test"])
+    @pytest.mark.parametrize("side", [1e-60, 1e120])
+    def test_refuses_window_out_of_float_scale(self, tmp_path, capsys, side, command, threads):
+        # at 1e-60 |W|^2 underflows to 0, and at 1e120 |W| overflows to inf
+        paths = [tmp_path / f"{i}.txt" for i in range(2)]
+        for i, path in enumerate(paths):
+            write_pattern(path, uniform_cube(side, 300, seed=i))
+        out = tmp_path / "x.csv"
+        extra = [] if command == "estimate" else ["--r2-grid", repr(0.1 * side)]
+        code = run_cli(command, "--input", f"{paths[0]},{paths[1]}", *extra,
+                       "--threads", threads, "--out", out)
+        assert code == 1 and not out.exists()
+        assert capsys.readouterr().err == (
+            f"error: window sides {np.full(3, side)} are out of scale: their products and the "
+            "squared volume must stay in the normal float range [2.22507e-308, 1.79769e+308]\n")
+
     @pytest.mark.parametrize("argv", [
         ("estimate", "--r-max", "0.1"), ("estimate",),
         ("power", "--r2-grid", "0.01"), ("test", "--r2-grid", "0.01"),
@@ -594,11 +653,14 @@ class TestEstimateCommand:
         data = np.loadtxt(rows[1:], delimiter=",")
         patterns = read_patterns(campaign)
         assert patterns[-1].n == 1
-        for kind in ("conical", "cylindrical"):
-            for d, u in (("x", X_AXIS), ("y", Y_AXIS), ("z", Z_AXIS)):
-                pooled = pooled_profile(patterns, u, kind, data[:, 0], 2.5)
-                npt.assert_array_equal(data[:, header.index(f"{kind}_K_{d}")],
-                                       pooled.values)
+        # the same replicates given by their files, and by campaign keys
+        keys = [(ModelSpec.poisson(300.0), unit_cube(), 2, i) for i in range(4)]
+        for sources in (patterns, pattern_paths(campaign), keys + patterns[-1:]):
+            for kind in ("conical", "cylindrical"):
+                for d, u in (("x", X_AXIS), ("y", Y_AXIS), ("z", Z_AXIS)):
+                    pooled = pooled_profile(sources, u, kind, data[:, 0], 2.5)
+                    npt.assert_array_equal(data[:, header.index(f"{kind}_K_{d}")],
+                                           pooled.values)
 
     def test_one_pair_extraction_per_replicate(self, campaign, tmp_path, monkeypatch):
         calls = []
@@ -957,6 +1019,26 @@ class TestOptionTable:
         assert run_cli(command, *base, *extra, "--out", out) == 1
         assert f"error: {message}\n" in capsys.readouterr().err
         assert not out.exists()
+
+
+def test_every_tracer_only_import_is_wrapped():
+    """Each import that a module keeps only for the tracer is one that
+    perfbench/tracecli.py wraps, so that no such import outlives its wrapper."""
+    root = Path(__file__).resolve().parents[1]
+    spec = importlib.util.spec_from_file_location("tracecli", root / "perfbench" / "tracecli.py")
+    tracecli = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracecli)
+    wrapped = {(module_name, attr) for module_name, attr, _, _ in tracecli._ALL}
+    kept = []
+    for path in sorted((root / "src" / "aniso3d").glob("*.py")):
+        lines = path.read_text().splitlines()
+        for node in ast.walk(ast.parse("\n".join(lines))):
+            if (isinstance(node, ast.ImportFrom) and lines[node.end_lineno - 1].endswith(
+                    "# unused; perfbench/tracecli.py wraps this name")):
+                kept += [(f"aniso3d.{path.stem}", alias.asname or alias.name)
+                         for alias in node.names]
+    assert kept
+    assert [name for name in kept if name not in wrapped] == []
 
 
 class TestTraceHooks:

@@ -56,6 +56,11 @@ def two_point_pattern():
     return PointPattern(pts, unit_cube())
 
 
+def cube_of_side(side, unit_pattern):
+    """``unit_pattern``'s points scaled into a cube of the given side."""
+    return PointPattern(side * unit_pattern.points, BoxWindow(np.zeros(3), np.full(3, side)))
+
+
 def brute_profile(pattern, u, kind, r_grid, a):
     """Direct O(n^2 * |grid|) estimate recomputing membership per (pair, r)."""
     rho2 = intensity_sq_hat(pattern)
@@ -210,6 +215,7 @@ class TestProfiles:
             raise AssertionError("pairs were extracted")
 
         monkeypatch.setattr("aniso3d.estimate.pattern_pairs", unreachable)
+        monkeypatch.setattr("aniso3d._parallel.parallel_map", unreachable)
         with pytest.raises(ValueError, match=r"^r_grid entry 0\.6 is out of range for this "
                            r"window: .* so choose r_grid entry < 0\.447213$"):
             profile([0.1, 0.6])
@@ -280,6 +286,35 @@ class TestPooling:
             dense = pooled_profile(pats, Z_AXIS, kind, grid, 2.0)
             mixed = pooled_profile([sparse[0], *pats, sparse[1]], Z_AXIS, kind, grid, 2.0)
             npt.assert_array_equal(mixed.values, dense.values)
+
+    @pytest.mark.parametrize("side", [1e-60, 1e120])
+    def test_refuses_window_out_of_float_scale_before_any_work(self, monkeypatch, side):
+        # at 1e-60 |W|^2 underflows to 0, at 1e120 |W| overflows to inf
+        pats = [cube_of_side(side, simulate_poisson(300.0, unit_cube(), s)) for s in (44, 45)]
+
+        def unreachable(*args, **kwargs):
+            raise AssertionError("the pool started")
+
+        monkeypatch.setattr("aniso3d._parallel.parallel_map", unreachable)
+        monkeypatch.setattr("aniso3d.estimate.pattern_pairs", unreachable)
+        with pytest.raises(ValueError) as info:
+            pooled_profile(pats, Z_AXIS, "conical", [0.0, 0.1 * side], 2.0)
+        assert str(info.value) == (
+            f"window sides {pats[0].window.sides} are out of scale: their products and the "
+            "squared volume must stay in the normal float range [2.22507e-308, 1.79769e+308]")
+
+    def test_small_window_in_float_scale_scales_k_by_its_volume(self):
+        # K scales with the cube of the side; 1e-30 is not a power of two, so
+        # the scaled profile agrees to rounding, not bit for bit
+        side = 1e-30
+        pats = [simulate_poisson(300.0, unit_cube(), s) for s in (46, 47)]
+        grid = np.linspace(0.0, 0.08, 16)
+        for kind in ("conical", "cylindrical"):
+            unit = pooled_profile(pats, Z_AXIS, kind, grid, 2.0).values
+            small = pooled_profile([cube_of_side(side, p) for p in pats], Z_AXIS, kind,
+                                   side * grid, 2.0).values
+            assert np.all(np.isfinite(small)) and small[-1] > 0.0
+            npt.assert_allclose(small, side ** 3 * unit, rtol=1e-12)
 
     def test_only_sparse_replicates_have_no_pairs(self):
         lone = PointPattern([[0.5, 0.5, 0.5]], unit_cube())

@@ -1,5 +1,7 @@
 """Tests for the isotropy test statistics, decision rule, and power sweep."""
 
+import re
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -195,6 +197,27 @@ class TestRunTest:
         # every aspect is checked, not only the configured one
         with pytest.raises(ValueError, match=r"choose r2 < 0\.316227$"):
             power_curve_from_patterns(pats, cfg(), [0.4], threads=2, aspects=[2.0, 3.0])
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("side", [1e-60, 1e120])
+    def test_refuses_window_out_of_float_scale_before_any_work(self, monkeypatch, side,
+                                                              threads):
+        window = BoxWindow(np.zeros(3), np.full(3, side))
+        pats = [PointPattern(side * p.points, window)
+                for p in simulate_campaign(ModelSpec.poisson(300.0), unit_cube(), 2, seed=17)]
+
+        def unreachable(*args, **kwargs):
+            raise AssertionError("the sweep started")
+
+        monkeypatch.setattr("aniso3d.isotest.parallel_map", unreachable)
+        monkeypatch.setattr("aniso3d.estimate.pattern_pairs", unreachable)
+        message = (f"^window sides {re.escape(str(window.sides))} are out of scale: their "
+                   r"products and the squared volume must stay in the normal float range")
+        with pytest.raises(ValueError, match=message):
+            run_test(pats, cfg(r2=0.1 * side), threads=threads)
+        with pytest.raises(ValueError, match=message):
+            power_curve_from_patterns(pats, cfg(r2=0.1 * side), [0.05 * side, 0.1 * side],
+                                      threads=threads)
 
     @pytest.mark.parametrize("kinds, message", [
         ((), r"^need at least one kind$"),
