@@ -23,7 +23,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .estimate import check_r_max, default_r_grid, pooled_k
+from .estimate import check_r_max, check_window_scale, default_r_grid, pooled_k
 from .estimate import pooled_profile  # unused; perfbench/tracecli.py wraps this name
 from .geometry import X_AXIS, Y_AXIS, Z_AXIS
 from .isotest import TestConfig, check_sweep, power_curve_from_patterns
@@ -227,6 +227,7 @@ def cmd_simulate(args, config) -> None:
     out_dir = _resolve(args, config, "out", required=True)
     window = _resolve(args, config, "window")
     threads = _resolve(args, config, "threads")
+    check_window_scale(window)  # as `power --model` refuses it
     created = not os.path.isdir(out_dir)
     os.makedirs(out_dir, exist_ok=True)
     if not os.access(out_dir, os.W_OK):

@@ -26,11 +26,11 @@ from . import _parallel
 from .geometry import (
     ConeParams,
     CylinderParams,
+    _close_pair_keys,
     _cone_mask,
     _cylinder_mask,
     _norms,
     as_direction,
-    close_pairs,
     equal_shape_link,
 )
 from .patternio import reduce_replicate, source_window
@@ -50,6 +50,11 @@ __all__ = [
 ]
 
 KINDS = ("conical", "cylindrical")
+
+# pairs formed and added at a time by `replicate_numerators`, so that its scratch
+# is bounded by this and the sorted pair keys (8 bytes a pair), not by the pair
+# count; a replicate of 500 points is one slice
+_PAIR_BUDGET = 1 << 16
 
 
 def check_kinds(kinds) -> tuple:
@@ -104,10 +109,12 @@ def translation_weight(window: BoxWindow, t) -> float:
 
 
 def intensity_sq_hat(pattern: PointPattern) -> float:
-    """Unbiased estimate ``n (n - 1) / |W|^2`` of the squared intensity."""
+    """Unbiased estimate ``n (n - 1) / |W|^2`` of the squared intensity, for
+    a window that passes `check_window_scale`."""
     n = pattern.n
     if n < 2:
         raise ValueError(f"need at least 2 points to estimate the intensity, got {n}")
+    check_window_scale(pattern.window)
     return n * (n - 1) / pattern.window.volume ** 2
 
 
@@ -132,6 +139,13 @@ def pattern_pairs(pattern: PointPattern, extent: float) -> PatternPairs:
     ``extent`` must stay below the smallest window side so that every
     collected displacement has a valid translation weight.
     """
+    pts, keys = _pair_keys(pattern, extent)
+    return _pair_rows(pattern.window, pts, keys)
+
+
+def _pair_keys(pattern: PointPattern, extent: float):
+    """The points in lexicographic order and the ascending keys ``i * n + j``
+    of their pairs closer than ``extent``, as `pattern_pairs` takes them."""
     min_side = float(np.min(pattern.window.sides))
     if extent >= min_side:
         raise ValueError(
@@ -139,13 +153,17 @@ def pattern_pairs(pattern: PointPattern, extent: float) -> PatternPairs:
             f"window side {min_side:.6g}"
         )
     pts = pattern.points
-    order = np.lexsort((pts[:, 2], pts[:, 1], pts[:, 0]))
-    pts = pts[order]
-    i, j = close_pairs(pts, extent)
+    pts = pts[np.lexsort((pts[:, 2], pts[:, 1], pts[:, 0]))]
+    return pts, _close_pair_keys(pts, extent)
+
+
+def _pair_rows(window: BoxWindow, pts: np.ndarray, keys: np.ndarray) -> PatternPairs:
+    """The `PatternPairs` rows of the pairs with keys ``keys`` among ``pts``."""
+    i, j = np.divmod(keys, len(pts))
     vec = pts.take(j, axis=0)
     vec -= pts.take(i, axis=0)
     # formed column by column, the order in which ``np.prod(axis=1)`` multiplies
-    (sx, sy, sz), (ax, ay, az) = pattern.window.sides, np.abs(vec).T
+    (sx, sy, sz), (ax, ay, az) = window.sides, np.abs(vec).T
     weight = 1.0 / (((sx - ax) * (sy - ay)) * (sz - az))
     return PatternPairs(vec, _norms(vec), weight)
 
@@ -207,9 +225,7 @@ def check_r_max(window: BoxWindow, a: float, r_max: float, what: str) -> None:
     whose search extent reaches the smallest window side, and ``a <= 1`` as
     `equal_shape_link` does.  The message names the radius ``what`` and the
     largest admissible one, rounded down to 6 digits so every smaller one passes.
-    Then refuse a window whose side products ``sx * sy`` and ``(sx * sy) * sz``,
-    which the translation weights form, or whose squared volume, the
-    denominator of `intensity_sq_hat`, leaves the normal float range."""
+    Then refuse a window that fails `check_window_scale`."""
     side = float(np.min(window.sides))
     if profile_extent(r_max, a) >= side:
         bound = side / profile_extent(1.0, a)  # the extent is linear in r_max
@@ -219,6 +235,13 @@ def check_r_max(window: BoxWindow, a: float, r_max: float, what: str) -> None:
             f"element extent must stay below the smallest side, so choose "
             f"{what} < {math.floor(bound / unit) * unit:.6g}"
         )
+    check_window_scale(window)
+
+
+def check_window_scale(window: BoxWindow) -> None:
+    """The one scale rule: refuse a window whose side products ``sx * sy`` and
+    ``(sx * sy) * sz``, which the translation weights form, or whose squared
+    volume, the denominator of `intensity_sq_hat`, leaves the normal float range."""
     sx, sy, sz = window.sides.tolist()  # Python floats, which overflow to inf silently
     volume = (sx * sy) * sz
     if not all(sys.float_info.min <= p <= sys.float_info.max
@@ -269,66 +292,82 @@ def pair_numerators(pairs: PatternPairs, directions, kinds, r_grid, aspects) -> 
     found from its critical radius by `_grid_index`, an exact
     constant-time ``searchsorted`` on evenly spaced grids; accumulating
     ``2 * weight`` there and taking the running sum yields, at every grid
-    point, exactly the direct double-sum numerator of the estimator.  The
-    axial and radial parts of the pairs are formed once per direction.
-    Then the pairs outside the union of the largest elements at the top
-    radius (the cone of the largest slant factor and the smallest
+    point, exactly the direct double-sum numerator of the estimator.  This
+    is `_numerators` of one slice of pairs.  ``pairs`` must reach
+    `profile_extent` of the largest aspect, and ``kinds`` must pass
+    `check_kinds`.
+    """
+    return _numerators([pairs], directions, kinds, r_grid, aspects)
+
+
+def _numerators(slices, directions, kinds, r_grid, aspects) -> np.ndarray:
+    """`pair_numerators` of the pairs of every `PatternPairs` in ``slices``,
+    taken in turn.
+
+    The axial and radial parts of a slice's pairs are formed once per
+    direction.  Then the pairs outside the union of the largest elements at
+    the top radius (the cone of the largest slant factor and the smallest
     ``cos_theta``, the cylinder of the largest aspect) are dropped once,
-    and every kind and aspect works on the rest, in pair order, along
-    with one radial grid index.  Each element's bounds are float products
+    and every kind and aspect works on the rest, in pair order, along with
+    one radial grid index.  Each element's bounds are float products
     monotone in its slant factor, ``cos_theta`` and aspect, so the union
-    holds every pair of every element, and ``bincount`` adds the same
-    weights in the same order as over the full arrays: no bit changes.
-    ``pairs`` must reach `profile_extent` of the largest aspect, and
-    ``kinds`` must pass `check_kinds`.
+    holds every pair of every element.  ``np.add.at`` adds each slice's
+    weights into one running (aspect, kind, direction, radius) array, bin by
+    bin in pair order as one ``bincount`` over all the pairs would, and one
+    running sum along the radii ends it: neither the compaction nor the
+    slicing changes a bit.
     """
     directions = [as_direction(u) for u in directions]
     r_grid = _check_grid(r_grid)
-    out = np.empty((len(aspects), len(kinds), len(directions), r_grid.size))
-    if out.size == 0:
-        return out
+    acc = np.zeros((len(aspects), len(kinds), len(directions), r_grid.size))
+    if acc.size == 0:
+        return acc
     links = [(c.r_cn, c.cos_theta) for _, c in (equal_shape_link(1.0, a) for a in aspects)]
     r_max = r_grid[-1]
     scale_max = max(scale for scale, _ in links)
     cos_min = min(cos_theta for _, cos_theta in links)
-    for d, u in enumerate(directions):
-        axial_abs, radial = _axial_radial(pairs, u)
-        union = np.zeros(axial_abs.shape, bool)
-        if "conical" in kinds:
-            union |= _cone_mask(pairs.norm, axial_abs, r_max * scale_max, cos_min)
-        if "cylindrical" in kinds:
-            union |= _cylinder_mask(axial_abs, radial, r_max, max(aspects) * r_max)
-        near = np.flatnonzero(union)
-        axial_abs, radial, norm = axial_abs.take(near), radial.take(near), pairs.norm.take(near)
-        weight = 2.0 * pairs.weight.take(near)
-        radial_idx = _grid_index(r_grid, radial) if "cylindrical" in kinds else None
-        for i, (a, (scale, cos_theta)) in enumerate(zip(aspects, links)):
-            for j, kind in enumerate(kinds):
-                if kind == "conical":
-                    keep = _cone_mask(norm, axial_abs, r_max * scale, cos_theta)
-                    idx = _grid_index(r_grid * scale, norm[keep])
-                else:
-                    keep = _cylinder_mask(axial_abs, radial, r_max, a * r_max)
-                    idx = np.maximum(_grid_index(a * r_grid, axial_abs[keep]),
-                                     radial_idx[keep])
-                acc = np.bincount(idx, weights=weight[keep], minlength=r_grid.size)
-                out[i, j, d] = np.cumsum(acc)
-    return out
+    for pairs in slices:
+        for d, u in enumerate(directions):
+            axial_abs, radial = _axial_radial(pairs, u)
+            union = np.zeros(axial_abs.shape, bool)
+            if "conical" in kinds:
+                union |= _cone_mask(pairs.norm, axial_abs, r_max * scale_max, cos_min)
+            if "cylindrical" in kinds:
+                union |= _cylinder_mask(axial_abs, radial, r_max, max(aspects) * r_max)
+            near = np.flatnonzero(union)
+            axial_abs, radial = axial_abs.take(near), radial.take(near)
+            norm, weight = pairs.norm.take(near), 2.0 * pairs.weight.take(near)
+            radial_idx = _grid_index(r_grid, radial) if "cylindrical" in kinds else None
+            for i, (a, (scale, cos_theta)) in enumerate(zip(aspects, links)):
+                for j, kind in enumerate(kinds):
+                    if kind == "conical":
+                        keep = _cone_mask(norm, axial_abs, r_max * scale, cos_theta)
+                        idx = _grid_index(r_grid * scale, norm[keep])
+                    else:
+                        keep = _cylinder_mask(axial_abs, radial, r_max, a * r_max)
+                        idx = np.maximum(_grid_index(a * r_grid, axial_abs[keep]),
+                                         radial_idx[keep])
+                    np.add.at(acc[i, j, d], idx, weight[keep])
+    return np.cumsum(acc, axis=-1)
 
 
 def replicate_numerators(pattern: PointPattern, directions, kinds, r_grid, aspects):
     """One replicate's pair numerators and squared-intensity mass.
 
     Returns ``(numerators, mass)``: the `pair_numerators` array of shape
-    (aspect, kind, direction, radius) from one pair extraction at
-    `profile_extent` of the largest aspect, and ``n (n - 1) / |W|^2``,
-    which is 0 for fewer than 2 points instead of an error.  Every
-    profile, pool and test statistic reaches the pair layer through this
-    function; ``r_grid`` must be nonempty.
+    (aspect, kind, direction, radius) of the pairs within `profile_extent`
+    of the largest aspect, and ``n (n - 1) / |W|^2``, which is 0 for fewer
+    than 2 points instead of an error.  The pairs are found once, as sorted
+    keys, and formed and added `_PAIR_BUDGET` at a time by `_numerators`,
+    with the same bits as one `pair_numerators` call on `pattern_pairs`.
+    Every profile, pool and test statistic reaches the pair layer through
+    this function; ``r_grid`` must be nonempty.
     """
-    pairs = pattern_pairs(pattern, profile_extent(r_grid[-1], max(aspects)))
+    pts, keys = _pair_keys(pattern, profile_extent(r_grid[-1], max(aspects)))
+    slices = (_pair_rows(pattern.window, pts, keys[start:start + _PAIR_BUDGET])
+              for start in range(0, keys.size, _PAIR_BUDGET))
     mass = intensity_sq_hat(pattern) if pattern.n >= 2 else 0.0
-    return pair_numerators(pairs, directions, kinds, r_grid, aspects), mass
+    return _numerators(slices, directions, kinds, r_grid, aspects), mass
 
 
 def k_profile(pattern: PointPattern, u, kind: str, r_grid, a: float) -> KProfile:

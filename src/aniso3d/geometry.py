@@ -251,6 +251,11 @@ def direction_set(n: int) -> np.ndarray:
 _HALF_SHELL = ((1, 0), (-1, 1), (0, 1), (1, 1))
 
 
+# candidates expanded and filtered at a time, so that the finder's scratch is
+# bounded by this and its pair keys (8 bytes a pair), not by the candidate count
+_CANDIDATE_CHUNK = 8192
+
+
 def close_pairs(points, r: float, sides=None) -> tuple[np.ndarray, np.ndarray]:
     """Index arrays ``i < j`` of every pair of points within distance ``r``.
 
@@ -265,8 +270,15 @@ def close_pairs(points, r: float, sides=None) -> tuple[np.ndarray, np.ndarray]:
     and the points of the four half-shell neighbour columns whose z lies
     within ``r`` of its own (under periodicity, also across the z
     boundary); one ``searchsorted`` over the (column, z rank) keys finds
-    all those ranges, and the exact rule above filters the candidates.
+    all those ranges.  The candidates of the ranges are expanded and
+    filtered by the exact rule above `_CANDIDATE_CHUNK` at a time, and only
+    the keys of the pairs found are kept and sorted once.
     """
+    return np.divmod(_close_pair_keys(points, r, sides), len(points))
+
+
+def _close_pair_keys(points, r: float, sides=None) -> np.ndarray:
+    """The ascending keys ``i * n + j`` of `close_pairs`."""
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 3:
         raise ValueError(f"points must be an (n, 3) array, got shape {pts.shape}")
@@ -275,7 +287,7 @@ def close_pairs(points, r: float, sides=None) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError(f"pair distance must be nonnegative, got {r}")
     n = len(pts)
     if n < 2:
-        return np.empty(0, np.int64), np.empty(0, np.int64)
+        return np.empty(0, np.int64)
     scale = float(np.abs(pts).max())
     if sides is None:
         lo = pts[:, :2].min(axis=0)
@@ -342,18 +354,27 @@ def close_pairs(points, r: float, sides=None) -> tuple[np.ndarray, np.ndarray]:
     own = n * len(ranks)
     start[:own] = np.maximum(start[:own], np.tile(np.arange(1, n + 1), len(ranks)))
     counts = np.maximum(end - start, 0)
-    p = np.repeat(np.tile(np.arange(n), len(columns) * len(ranks)), counts)
-    q = np.arange(len(p)) - np.repeat(np.cumsum(counts) - counts - start, counts)
-
-    sq = None
-    for k, c in enumerate((xs, ys, zp)):
-        d = c.take(q) - c.take(p)
-        if sides is not None:
-            d -= sides[k] * np.round(d / sides[k])
-        d *= d
-        sq = d if sq is None else np.add(sq, d, out=sq)
-    hit = np.flatnonzero(sq <= r * r)
-    i, j = order.take(p.take(hit)), order.take(q.take(hit))
-    pair_key = np.minimum(i, j) * n + np.maximum(i, j)
-    pair_key.sort()
-    return np.divmod(pair_key, n)
+    # candidate c of range s, which belongs to point s % n, is point c - shift[s]
+    ends = np.cumsum(counts)
+    shift = ends - counts - start
+    total = int(ends[-1])
+    pieces = [np.empty(0, np.int64)]
+    for c0 in range(0, total, _CANDIDATE_CHUNK):
+        c1 = min(c0 + _CANDIDATE_CHUNK, total)
+        s0, s1 = np.searchsorted(ends, (c0, c1 - 1), side="right")
+        taken = np.diff(np.minimum(ends[s0:s1 + 1], c1), prepend=c0)
+        p = np.repeat(np.arange(s0, s1 + 1) % n, taken)
+        q = np.arange(c0, c1) - np.repeat(shift[s0:s1 + 1], taken)
+        sq = None
+        for k, c in enumerate((xs, ys, zp)):
+            d = c.take(q) - c.take(p)
+            if sides is not None:
+                d -= sides[k] * np.round(d / sides[k])
+            d *= d
+            sq = d if sq is None else np.add(sq, d, out=sq)
+        hit = np.flatnonzero(sq <= r * r)
+        i, j = order.take(p.take(hit)), order.take(q.take(hit))
+        pieces.append(np.minimum(i, j) * n + np.maximum(i, j))
+    keys = np.concatenate(pieces)
+    keys.sort()
+    return keys

@@ -402,6 +402,27 @@ class TestSimulateCommand:
         assert capsys.readouterr().err == "error: intensities must be positive\n"
         assert not (tmp_path / "x").exists()
 
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    @pytest.mark.parametrize("command", ["simulate", "power"])
+    @pytest.mark.parametrize("side", [1e-60, 1e120])
+    def test_model_commands_refuse_window_out_of_float_scale(self, tmp_path, capsys, monkeypatch,
+                                                            side, command, threads):
+        # at 1e120 the Poisson mean rho * |W| overflows
+        def unreachable(*args, **kwargs):
+            raise AssertionError("the pool started")
+
+        monkeypatch.setattr("aniso3d.cli.parallel_map", unreachable)
+        monkeypatch.setattr("aniso3d.isotest.parallel_map", unreachable)
+        out = tmp_path / "out"
+        extra = ["--r2-grid", repr(0.1 * side)] if command == "power" else []
+        code = run_cli(command, "--model", "poisson", "--rho", "1", "--m", "2",
+                       "--window", ",".join(["0", repr(side)] * 3), *extra,
+                       "--threads", threads, "--out", out)
+        assert code == 1 and not out.exists()
+        assert capsys.readouterr().err == (
+            f"error: window sides {np.full(3, side)} are out of scale: their products and the "
+            "squared volume must stay in the normal float range [2.22507e-308, 1.79769e+308]\n")
+
 
 class TestEstimateCommand:
     @pytest.fixture()
@@ -664,8 +685,8 @@ class TestEstimateCommand:
 
     def test_one_pair_extraction_per_replicate(self, campaign, tmp_path, monkeypatch):
         calls = []
-        extract = estimate.pattern_pairs
-        monkeypatch.setattr(estimate, "pattern_pairs",
+        extract = estimate._pair_keys
+        monkeypatch.setattr(estimate, "_pair_keys",
                             lambda *args: calls.append(1) or extract(*args))
         assert run_cli("estimate", "--input", campaign, "--kind", "both", "--grid", "8",
                        "--r-max", "0.05", "--threads", "1", "--out", tmp_path / "k.csv") == 0

@@ -1,6 +1,7 @@
 """Tests for the directional K estimators against independent oracles."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import numpy.testing as npt
@@ -9,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from aniso3d import estimate
 from aniso3d.estimate import (
     KProfile,
     PatternPairs,
@@ -35,6 +37,7 @@ from aniso3d.geometry import (
     _cone_mask,
     _cylinder_mask,
     _norms,
+    close_pairs,
     cone_contains,
     cylinder_contains,
     equal_shape_link,
@@ -156,6 +159,28 @@ class TestSingleElementEstimates:
         with pytest.raises(ValueError, match="extent"):
             conical_k(two_point_pattern(), Z_AXIS, ConeParams(1.0, THETA_A2))
 
+    @pytest.mark.parametrize("side", [1e-60, 1e120])
+    @pytest.mark.parametrize("estimator", [
+        lambda p, s: conical_k(p, Z_AXIS, ConeParams(0.1 * s, THETA_A2)),
+        lambda p, s: cylindrical_k(p, Z_AXIS, CylinderParams(0.1 * s, 0.2 * s)),
+        lambda p, s: k_profile(p, Z_AXIS, "cylindrical", [0.0, 0.1 * s], 2.0),
+    ], ids=["conical_k", "cylindrical_k", "k_profile"])
+    def test_refuses_window_out_of_float_scale_before_any_work(self, monkeypatch, side,
+                                                              estimator):
+        # at 1e-60 |W|^2 underflows to 0 (a ZeroDivisionError), at 1e120 |W|
+        # overflows to inf (a K of 0, or NaN)
+        pattern = cube_of_side(side, simulate_poisson(300.0, unit_cube(), 48))
+
+        def unreachable(*args, **kwargs):
+            raise AssertionError("pairs were extracted")
+
+        monkeypatch.setattr("aniso3d.estimate._pair_keys", unreachable)
+        with pytest.raises(ValueError) as info:
+            estimator(pattern, side)
+        assert str(info.value) == (
+            f"window sides {pattern.window.sides} are out of scale: their products and the "
+            "squared volume must stay in the normal float range [2.22507e-308, 1.79769e+308]")
+
 
 class TestProfiles:
     def test_matches_brute_force(self):
@@ -214,7 +239,7 @@ class TestProfiles:
         def unreachable(*args, **kwargs):
             raise AssertionError("pairs were extracted")
 
-        monkeypatch.setattr("aniso3d.estimate.pattern_pairs", unreachable)
+        monkeypatch.setattr("aniso3d.estimate._pair_keys", unreachable)
         monkeypatch.setattr("aniso3d._parallel.parallel_map", unreachable)
         with pytest.raises(ValueError, match=r"^r_grid entry 0\.6 is out of range for this "
                            r"window: .* so choose r_grid entry < 0\.447213$"):
@@ -273,7 +298,7 @@ class TestPooling:
         def unreachable(*args, **kwargs):
             raise AssertionError("pairs were extracted")
 
-        monkeypatch.setattr("aniso3d.estimate.pattern_pairs", unreachable)
+        monkeypatch.setattr("aniso3d.estimate._pair_keys", unreachable)
         with pytest.raises(ValueError, match=r"^kind must be one of .*, got 'diag'$"):
             pooled_profile(pats, Z_AXIS, "diag", [0.0, 0.05], 2.0)
 
@@ -296,7 +321,7 @@ class TestPooling:
             raise AssertionError("the pool started")
 
         monkeypatch.setattr("aniso3d._parallel.parallel_map", unreachable)
-        monkeypatch.setattr("aniso3d.estimate.pattern_pairs", unreachable)
+        monkeypatch.setattr("aniso3d.estimate._pair_keys", unreachable)
         with pytest.raises(ValueError) as info:
             pooled_profile(pats, Z_AXIS, "conical", [0.0, 0.1 * side], 2.0)
         assert str(info.value) == (
@@ -371,6 +396,56 @@ class TestReplicateNumerators:
         pairs = pattern_pairs(pattern, profile_extent(grid[-1], 3.0))
         npt.assert_array_equal(num, pair_numerators(pairs, axes, kinds, grid, aspects))
         assert mass == intensity_sq_hat(pattern)
+
+    @pytest.mark.parametrize("budget", [1, 7, 64])
+    @settings(max_examples=15, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(0, 60), lattice=st.booleans(),
+           aspects=st.lists(st.one_of(st.sampled_from([1.5, 2.0, 3.0]), st.floats(1.01, 5.0)),
+                            min_size=1, max_size=3),
+           r_max=st.floats(0.01, 0.15), n_grid=st.integers(2, 30))
+    def test_pair_slices_match_one_slice(self, budget, seed, n, lattice, aspects, r_max,
+                                         n_grid):
+        """Slices down to one pair each add up to the bits of one slice of
+        all the pairs; lattice points give ties in every coordinate."""
+        rng = np.random.default_rng(seed)
+        if lattice:
+            pts = np.unique(rng.integers(0, 6, (n, 3)), axis=0) / 6.0
+        else:
+            pts = rng.random((n, 3))
+        pattern = PointPattern(pts, unit_cube())
+        grid = np.linspace(0.0, r_max, n_grid)
+        directions = [X_AXIS, Y_AXIS, Z_AXIS, np.array([0.6, 0.0, 0.8])]
+        kinds = ["conical", "cylindrical"]
+        pairs = pattern_pairs(pattern, profile_extent(r_max, max(aspects)))
+        one = pair_numerators(pairs, directions, kinds, grid, aspects)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(estimate, "_PAIR_BUDGET", budget)
+            sliced, _ = replicate_numerators(pattern, directions, kinds, grid, aspects)
+        assert np.array_equal(sliced, one)
+
+    def test_scratch_is_bounded_by_the_keys_and_one_slice(self):
+        """numpy reports its buffers to tracemalloc.  The traced peak of one
+        replicate of about 4000 points is at most the sum of
+        - 16 B a pair: the 8-byte pair keys, held twice while the finder
+          joins the keys of its candidate chunks;
+        - 256 B (32 values of 8 B) for each pair of one slice: its index
+          pair and rows (7 values) and the kernel's scratch for its one
+          direction (below 25 values);
+        - 1 KiB a point for the finder's per-point and per-range arrays;
+        - 2 MiB for one candidate chunk, the grid and the result."""
+        pattern = simulate_poisson(4000.0, unit_cube(), 7)
+        grid = default_r_grid(unit_cube(), 2.0)
+        pairs = len(close_pairs(pattern.points, profile_extent(grid[-1], 2.0))[0])
+        bound = (16 * pairs + 256 * min(pairs, estimate._PAIR_BUDGET)
+                 + 1024 * pattern.n + 2 * 2**20)
+        tracemalloc.start()
+        try:
+            replicate_numerators(pattern, [Z_AXIS], ["conical", "cylindrical"], grid, [2.0])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert pairs > 10 * estimate._PAIR_BUDGET  # many slices
+        assert peak <= bound
 
     @pytest.mark.parametrize("points", [np.empty((0, 3)), [[0.5, 0.5, 0.5]]])
     def test_fewer_than_two_points_give_zero_mass(self, points):

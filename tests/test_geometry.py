@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.spatial import cKDTree
 
+from aniso3d import geometry
 from aniso3d.estimate import profile_extent
 from aniso3d.geometry import (
     ConeParams,
@@ -356,6 +357,18 @@ class TestClosePairs:
     def test_matches_brute_force(self, case):
         pts, r, sides = case
         assert_same_pairs(close_pairs(pts, r, sides), brute_pairs(pts, r, sides))
+
+    @pytest.mark.parametrize("chunk", [1, 7, 64])
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(case=pair_cases())
+    def test_candidate_chunks_match_brute_force(self, chunk, case):
+        """Chunks cut the candidate ranges anywhere, down to one candidate
+        each; every pair still comes once and in key order."""
+        pts, r, sides = case
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(geometry, "_CANDIDATE_CHUNK", chunk)
+            got = close_pairs(pts, r, sides)
+        assert_same_pairs(got, brute_pairs(pts, r, sides))
 
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(pair_cases())

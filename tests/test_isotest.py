@@ -188,7 +188,7 @@ class TestRunTest:
             raise AssertionError("the sweep started")
 
         monkeypatch.setattr("aniso3d.isotest.parallel_map", unreachable)
-        monkeypatch.setattr("aniso3d.estimate.pattern_pairs", unreachable)
+        monkeypatch.setattr("aniso3d.estimate._pair_keys", unreachable)
         with pytest.raises(ValueError, match=r"^r2 0\.6 is out of range for this window: "
                            r".* so choose r2 < 0\.447213$"):
             run_test(pats, cfg(r2=0.6))
@@ -210,7 +210,7 @@ class TestRunTest:
             raise AssertionError("the sweep started")
 
         monkeypatch.setattr("aniso3d.isotest.parallel_map", unreachable)
-        monkeypatch.setattr("aniso3d.estimate.pattern_pairs", unreachable)
+        monkeypatch.setattr("aniso3d.estimate._pair_keys", unreachable)
         message = (f"^window sides {re.escape(str(window.sides))} are out of scale: their "
                    r"products and the squared volume must stay in the normal float range")
         with pytest.raises(ValueError, match=message):
@@ -231,7 +231,7 @@ class TestRunTest:
             raise AssertionError("the sweep started")
 
         monkeypatch.setattr("aniso3d.isotest.parallel_map", unreachable)
-        monkeypatch.setattr("aniso3d.estimate.pattern_pairs", unreachable)
+        monkeypatch.setattr("aniso3d.estimate._pair_keys", unreachable)
         with pytest.raises(ValueError, match=message):
             power_curve_from_patterns(pats, cfg(), [0.05], kinds=kinds, threads=2)
 
