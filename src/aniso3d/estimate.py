@@ -52,8 +52,8 @@ __all__ = [
 KINDS = ("conical", "cylindrical")
 
 # pairs formed and added at a time by `replicate_numerators`, so that its scratch
-# is bounded by this and the sorted pair keys (8 bytes a pair), not by the pair
-# count; a replicate of 500 points is one slice
+# is bounded by this and the sorted pair keys (4 bytes a pair up to 65536 points),
+# not by the pair count; a replicate of 500 points is one slice
 _PAIR_BUDGET = 1 << 16
 
 
@@ -123,9 +123,10 @@ class PatternPairs:
     """Precomputed geometry of all point pairs within a search extent.
 
     Holds one row per unordered pair (the estimators double it for the
-    two orders).  Extracting pairs once and reusing them across
-    directions, kinds, and aspect ratios is the supported fast path for
-    replicated campaigns.
+    two orders), all pairs at once: `conical_k`, `cylindrical_k` and
+    `pair_numerators` take it whole.  Replicated campaigns go through
+    `replicate_numerators`, which forms these rows a bounded slice of pair
+    keys at a time.
     """
 
     vec: np.ndarray      # displacements x_j - x_i, points in lexicographic order
@@ -145,7 +146,9 @@ def pattern_pairs(pattern: PointPattern, extent: float) -> PatternPairs:
 
 def _pair_keys(pattern: PointPattern, extent: float):
     """The points in lexicographic order and the ascending keys ``i * n + j``
-    of their pairs closer than ``extent``, as `pattern_pairs` takes them."""
+    of their pairs closer than ``extent``, as `pattern_pairs` takes them; the
+    keys are ``uint32`` up to 65536 points and ``int64`` beyond, as
+    `_close_pair_keys` gives them."""
     min_side = float(np.min(pattern.window.sides))
     if extent >= min_side:
         raise ValueError(
@@ -162,19 +165,26 @@ def _pair_rows(window: BoxWindow, pts: np.ndarray, keys: np.ndarray) -> PatternP
     i, j = np.divmod(keys, len(pts))
     vec = pts.take(j, axis=0)
     vec -= pts.take(i, axis=0)
-    # formed column by column, the order in which ``np.prod(axis=1)`` multiplies
-    (sx, sy, sz), (ax, ay, az) = window.sides, np.abs(vec).T
-    weight = 1.0 / (((sx - ax) * (sy - ay)) * (sz - az))
+    # ``1 / (((sx - |dx|) * (sy - |dy|)) * (sz - |dz|))``, the order in which
+    # ``np.prod(axis=1)`` multiplies, formed one coordinate at a time
+    weight = window.sides[0] - np.abs(vec[:, 0])
+    for k in (1, 2):
+        weight *= window.sides[k] - np.abs(vec[:, k])
+    np.divide(1.0, weight, out=weight)
     return PatternPairs(vec, _norms(vec), weight)
 
 
 def _axial_radial(pairs: PatternPairs, u: np.ndarray):
     axial = pairs.vec @ u
-    # the offsets from the axis, formed component-major so that every
-    # operation runs along the pairs; elementwise the same as
-    # ``vec - np.multiply.outer(axial, u)``
-    offset = pairs.vec.T - np.multiply.outer(u, axial)
-    return np.abs(axial), _norms(offset.T)
+    # the norms of the offsets ``vec - np.multiply.outer(axial, u)`` from the
+    # axis, ``sqrt((ox*ox + oy*oy) + oz*oz)`` as `_norms` sums them, formed one
+    # coordinate at a time
+    sq = None
+    for k in range(3):
+        o = pairs.vec[:, k] - u[k] * axial
+        o *= o
+        sq = o if sq is None else np.add(sq, o, out=sq)
+    return np.abs(axial), np.sqrt(sq, out=sq)
 
 
 def conical_k(pattern: PointPattern, u, cone: ConeParams) -> float:

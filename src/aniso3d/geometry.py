@@ -252,7 +252,8 @@ _HALF_SHELL = ((1, 0), (-1, 1), (0, 1), (1, 1))
 
 
 # candidates expanded and filtered at a time, so that the finder's scratch is
-# bounded by this and its pair keys (8 bytes a pair), not by the candidate count
+# bounded by this and its pair keys (4 bytes a pair up to 65536 points), not by
+# the candidate count
 _CANDIDATE_CHUNK = 8192
 
 
@@ -272,13 +273,19 @@ def close_pairs(points, r: float, sides=None) -> tuple[np.ndarray, np.ndarray]:
     boundary); one ``searchsorted`` over the (column, z rank) keys finds
     all those ranges.  The candidates of the ranges are expanded and
     filtered by the exact rule above `_CANDIDATE_CHUNK` at a time, and only
-    the keys of the pairs found are kept and sorted once.
+    the keys of the pairs found are kept, in the dtype of `_close_pair_keys`,
+    and sorted once.  The index arrays are ``int64`` whatever that dtype.
     """
-    return np.divmod(_close_pair_keys(points, r, sides), len(points))
+    # widened before the division: a mixed-dtype divmod would cast through
+    # scratch buffers, which raise a small process's peak memory
+    return np.divmod(_close_pair_keys(points, r, sides).astype(np.int64, copy=False),
+                     len(points))
 
 
 def _close_pair_keys(points, r: float, sides=None) -> np.ndarray:
-    """The ascending keys ``i * n + j`` of `close_pairs`."""
+    """The ascending keys ``i * n + j`` of `close_pairs`: ``uint32`` when every
+    key fits, that is for ``n <= 65536`` (the largest key is ``n*n - n - 1``),
+    and ``int64`` otherwise."""
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 3:
         raise ValueError(f"points must be an (n, 3) array, got shape {pts.shape}")
@@ -286,8 +293,9 @@ def _close_pair_keys(points, r: float, sides=None) -> np.ndarray:
     if not r >= 0.0:
         raise ValueError(f"pair distance must be nonnegative, got {r}")
     n = len(pts)
+    key_dtype = np.uint32 if n * n - n - 1 <= np.iinfo(np.uint32).max else np.int64
     if n < 2:
-        return np.empty(0, np.int64)
+        return np.empty(0, key_dtype)
     scale = float(np.abs(pts).max())
     if sides is None:
         lo = pts[:, :2].min(axis=0)
@@ -358,7 +366,7 @@ def _close_pair_keys(points, r: float, sides=None) -> np.ndarray:
     ends = np.cumsum(counts)
     shift = ends - counts - start
     total = int(ends[-1])
-    pieces = [np.empty(0, np.int64)]
+    pieces = [np.empty(0, key_dtype)]
     for c0 in range(0, total, _CANDIDATE_CHUNK):
         c1 = min(c0 + _CANDIDATE_CHUNK, total)
         s0, s1 = np.searchsorted(ends, (c0, c1 - 1), side="right")
@@ -374,7 +382,7 @@ def _close_pair_keys(points, r: float, sides=None) -> np.ndarray:
             sq = d if sq is None else np.add(sq, d, out=sq)
         hit = np.flatnonzero(sq <= r * r)
         i, j = order.take(p.take(hit)), order.take(q.take(hit))
-        pieces.append(np.minimum(i, j) * n + np.maximum(i, j))
+        pieces.append((np.minimum(i, j) * n + np.maximum(i, j)).astype(key_dtype, copy=False))
     keys = np.concatenate(pieces)
     keys.sort()
     return keys

@@ -447,6 +447,35 @@ class TestReplicateNumerators:
         assert pairs > 10 * estimate._PAIR_BUDGET  # many slices
         assert peak <= bound
 
+    def test_scratch_is_bounded_by_narrow_keys_and_one_slice(self):
+        """The pattern of the probe above, against the bound of 4-byte keys.
+        The finder's join and the slices never overlap, so the traced peak
+        is at most the larger of the two phases, plus what both hold:
+        - at the join, 8 B a pair: the 4-byte keys of the candidate chunks
+          and their joined copy;
+        - after it, 4 B a pair for the keys plus 192 B (24 values of 8 B)
+          for each pair of one slice: the rows of the slice being formed and
+          of the one before it, which the kernel's loop still holds (5 values
+          each: displacement, norm, weight), the index pair and a gathered
+          copy while a slice is formed (5 values) and the kernel's scratch
+          for its one direction (below 9 values);
+        - 1 KiB a point for the finder's per-point and per-range arrays;
+        - 2 MiB for one candidate chunk, the grid and the result.
+        With 8-byte keys, the join alone holds 16 B a pair."""
+        pattern = simulate_poisson(4000.0, unit_cube(), 7)
+        grid = default_r_grid(unit_cube(), 2.0)
+        pairs = len(close_pairs(pattern.points, profile_extent(grid[-1], 2.0))[0])
+        bound = (max(8 * pairs, 4 * pairs + 192 * min(pairs, estimate._PAIR_BUDGET))
+                 + 1024 * pattern.n + 2 * 2**20)
+        tracemalloc.start()
+        try:
+            replicate_numerators(pattern, [Z_AXIS], ["conical", "cylindrical"], grid, [2.0])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert pairs > 10 * estimate._PAIR_BUDGET  # many slices
+        assert peak <= bound
+
     @pytest.mark.parametrize("points", [np.empty((0, 3)), [[0.5, 0.5, 0.5]]])
     def test_fewer_than_two_points_give_zero_mass(self, points):
         pattern = PointPattern(points, unit_cube())

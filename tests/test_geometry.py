@@ -393,6 +393,30 @@ class TestClosePairs:
                 i, j = close_pairs(pts, 0.5, sides)
                 assert i.size == j.size == 0 and i.dtype == j.dtype == np.int64
 
+    @pytest.mark.parametrize("extra, key_dtype", [(False, np.uint32), (True, np.int64)])
+    def test_key_dtype_boundary(self, extra, key_dtype):
+        """The 64 x 32 x 32 unit lattice has 65536 points, the most whose
+        keys fit in 4 bytes; one more point next to the last lattice point
+        makes the key of the last two indices exceed 2**32."""
+        pts = np.indices((64, 32, 32)).reshape(3, -1).T.astype(float)
+        i = np.arange(len(pts))
+        x, y, z = pts.T
+        lo = np.concatenate([i[x < 63], i[y < 31], i[z < 31]])
+        hi = np.concatenate([i[x < 63] + 1024, i[y < 31] + 32, i[z < 31] + 1])
+        assert lo.size == 191488
+        if extra:
+            pts = np.vstack([pts, [64.0, 31.0, 31.0]])
+            lo, hi = np.append(lo, 65535), np.append(hi, 65536)
+        n = len(pts)
+        order = np.argsort(lo * n + hi)
+        got = close_pairs(pts, 1.0)
+        assert got[0].dtype == got[1].dtype == np.int64
+        assert_same_pairs(got, (lo[order], hi[order]))
+        keys = geometry._close_pair_keys(pts, 1.0)
+        assert keys.dtype == key_dtype
+        assert int(keys[-1]) == n * n - n - 1  # the largest key of n points
+        assert (int(keys[-1]) >= 2**32) == extra
+
     def test_rejects_bad_input(self):
         pts = np.array([[0.1, 0.2, 0.3], [0.4, 0.5, 1.0]])
         with pytest.raises(ValueError, match="nonnegative"):

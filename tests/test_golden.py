@@ -14,6 +14,7 @@ import pytest
 from aniso3d.cli import main
 
 PLCPP = ["--model", "plcpp", "--rho", "500", "--rho-l", "200", "--sigma", "0.001"]
+PACKING = ["--model", "packing", "--rho", "500", "--hardcore-r", "0.05", "--compress-c", "0.7"]
 MATERN = ["--model", "matern", "--rho", "500", "--hardcore-r", "0.05", "--compress-c", "0.7"]
 
 
@@ -67,6 +68,33 @@ def test_columnar_sweep_power(tmp_path, monkeypatch):
              "--seed", "20161", "--out", "power.csv", "--threads", "1")
     assert sha256(tmp_path / "power.csv") == (
         "771492ed7b4d0f6641d4b07ecb874793af07b8f3d1bb12c93de72d1ffcdf3004")
+
+
+def test_packing_power(tmp_path, monkeypatch):
+    # perfbench's packing-power command: the only output that runs the packer's
+    # periodic close_pairs
+    run_here(tmp_path, monkeypatch, "power", *PACKING, "--m", "16", "--aspect", "2",
+             "--r2-grid", "0.02:0.14:25", "--kind", "both", "--seed", "20161",
+             "--out", "power.csv", "--threads", "1")
+    assert sha256(tmp_path / "power.csv") == (
+        "ff0319a3ef57556a1d40873c5a32dba1dd539c04bae7f3e0320bcbb6b703cf9b")
+
+
+def test_disk_campaign_estimate(campaign_dir, monkeypatch):
+    # perfbench's disk-campaign estimate command
+    run_here(campaign_dir, monkeypatch, "estimate", "--input", "campaign", "--kind", "both",
+             "--aspect", "2", "--r-max", "0.1", "--grid", "512", "--out", "estimate.csv",
+             "--threads", "1")
+    assert sha256(campaign_dir / "estimate.csv") == (
+        "508490873247eaf7cc23d5b77f818163572c8b82a8409af3d94d6791dcc3dd7c")
+
+
+def test_disk_campaign_test(campaign_dir, monkeypatch):
+    # perfbench's disk-campaign test command
+    run_here(campaign_dir, monkeypatch, "test", "--input", "campaign", "--kind", "both",
+             "--aspect", "2", "--r2-grid", "0.02:0.1:25", "--out", "test.csv", "--threads", "1")
+    assert sha256(campaign_dir / "test.csv") == (
+        "e6a5314128b249dc1e17f6a03991d2883d7a9e3929e09cde7bf451312e213d17")
 
 
 def test_campaign_estimate(campaign_dir, monkeypatch):
