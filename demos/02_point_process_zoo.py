@@ -3,7 +3,8 @@
 Four generators cover the anisotropy landscape: Poisson (no structure),
 the Poisson line cluster process (points strung along vertical lines),
 the Matérn type II hard-core process (weak regularity), and force-biased
-ball packing (strong regularity).  Compressing a regular pattern along z
+ball packing (strong regularity).  One `ModelSpec` describes each model,
+and each generator takes it.  Compressing a regular pattern along z
 turns regularity into anisotropy.  Saves a scatter figure when matplotlib
 is available.
 """
@@ -12,8 +13,7 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from aniso3d import (
-    HardCoreSpec,
-    PlcppSpec,
+    ModelSpec,
     compress,
     simulate_matern,
     simulate_packing,
@@ -32,16 +32,15 @@ def nn_distances(points):
 
 
 patterns = {}
-patterns["poisson"] = simulate_poisson(500.0, w, SEED)
+poisson = ModelSpec.poisson(500.0)
+patterns["poisson"] = simulate_poisson(poisson, w, SEED)
 
-plcpp = PlcppSpec(rho=500.0, rho_l=200.0, alpha=2.5, sigma=0.001)
+plcpp = ModelSpec.plcpp(500.0, rho_l=200.0, sigma=0.001)
 patterns["plcpp sigma=0.001"], feet = simulate_plcpp(plcpp, w, SEED, return_lines=True)
 
-patterns["matern R=0.05"] = simulate_matern(
-    HardCoreSpec(rho=500.0, r=0.05, kind="matern"), w, SEED
-)
+patterns["matern R=0.05"] = simulate_matern(ModelSpec.matern(500.0, 0.05), w, SEED)
 
-packing = simulate_packing(HardCoreSpec(rho=500.0, r=0.05, kind="packing"), w, SEED)
+packing = simulate_packing(ModelSpec.packing(500.0, 0.05), w, SEED)
 patterns["packing r=0.05"] = packing
 patterns["packing compressed c=0.7"] = compress(packing, 0.7)
 
@@ -58,7 +57,7 @@ print("compression keeps the count and the window volume:",
       f"{patterns['packing compressed c=0.7'].window.volume:.12f}")
 
 # one deterministic replicate, reproducible bit for bit
-again = simulate_poisson(500.0, w, SEED)
+again = simulate_poisson(poisson, w, SEED)
 print("rerun with the same seed is identical:",
       np.array_equal(again.points, patterns["poisson"].points))
 

@@ -23,9 +23,7 @@ from .geometry import (
 )
 from .simulate import (
     BoxWindow,
-    HardCoreSpec,
     ModelSpec,
-    PlcppSpec,
     PointPattern,
     compress,
     replicate_rng,
@@ -63,11 +61,9 @@ __all__ = [
     "BoxWindow",
     "ConeParams",
     "CylinderParams",
-    "HardCoreSpec",
     "IsotropyTestResult",
     "KProfile",
     "ModelSpec",
-    "PlcppSpec",
     "PointPattern",
     "TestConfig",
     "X_AXIS",

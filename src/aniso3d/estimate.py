@@ -96,12 +96,12 @@ def translation_weight(window: BoxWindow, t) -> float:
 
     The overlap of the window with its translate is the box with sides
     ``side_i - |t_i|``; the weight is smallest (``1/|W|``) at zero
-    displacement.  Raises ValueError when any ``|t_i|`` reaches the window
-    side, where the overlap degenerates.
+    displacement.  Raises ValueError when any ``|t_i|`` is nan or reaches
+    the window side, where the overlap degenerates.
     """
     t = np.asarray(t, dtype=float)
     clearance = window.sides - np.abs(t)
-    if np.any(clearance <= 0.0):
+    if not np.all(clearance > 0.0):
         raise ValueError(
             f"displacement {t} is not realizable inside window sides {window.sides}"
         )

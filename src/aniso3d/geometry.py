@@ -42,15 +42,15 @@ Z_AXIS = np.array([0.0, 0.0, 1.0])
 
 @dataclass(frozen=True)
 class ConeParams:
-    """Double spherical cone: slant height ``r_cn`` > 0, half apex angle
-    ``theta`` in (0, pi/2].  ``theta = pi/2`` degenerates to a ball."""
+    """Double spherical cone: finite slant height ``r_cn`` > 0, half apex
+    angle ``theta`` in (0, pi/2].  ``theta = pi/2`` degenerates to a ball."""
 
     r_cn: float
     theta: float
 
     def __post_init__(self):
-        if not self.r_cn > 0.0:
-            raise ValueError(f"cone slant height must be positive, got {self.r_cn}")
+        if not 0.0 < self.r_cn < math.inf:
+            raise ValueError(f"cone slant height must be positive and finite, got {self.r_cn}")
         if not 0.0 < self.theta <= math.pi / 2.0 + 1e-15:
             raise ValueError(f"cone half angle must be in (0, pi/2], got {self.theta}")
 
@@ -63,17 +63,17 @@ class ConeParams:
 
 @dataclass(frozen=True)
 class CylinderParams:
-    """Cylinder: base radius ``r_cl`` > 0, half height ``h`` > 0 (total
-    height ``2h``)."""
+    """Cylinder: finite base radius ``r_cl`` > 0 and half height ``h`` > 0
+    (total height ``2h``)."""
 
     r_cl: float
     h: float
 
     def __post_init__(self):
-        if not self.r_cl > 0.0:
-            raise ValueError(f"cylinder radius must be positive, got {self.r_cl}")
-        if not self.h > 0.0:
-            raise ValueError(f"cylinder half height must be positive, got {self.h}")
+        if not 0.0 < self.r_cl < math.inf:
+            raise ValueError(f"cylinder radius must be positive and finite, got {self.r_cl}")
+        if not 0.0 < self.h < math.inf:
+            raise ValueError(f"cylinder half height must be positive and finite, got {self.h}")
 
 
 def as_direction(u) -> np.ndarray:
@@ -81,9 +81,20 @@ def as_direction(u) -> np.ndarray:
     u = np.asarray(u, dtype=float)
     if u.shape != (3,):
         raise ValueError(f"direction must be a 3-vector, got shape {u.shape}")
-    if abs(_norms(u) - 1.0) > _UNIT_TOL:
+    if not abs(_norms(u) - 1.0) <= _UNIT_TOL:
         raise ValueError(f"direction must have unit norm, got |u| = {_norms(u)!r}")
     return u
+
+
+def _as_points(points) -> np.ndarray:
+    """Validate ``points`` as an (n, 3) array of finite coordinates and return
+    it as a float array."""
+    pts = np.asarray(points, dtype=float)
+    if pts.ndim != 2 or pts.shape[1] != 3:
+        raise ValueError(f"points must be an (n, 3) array, got shape {pts.shape}")
+    if not np.all(np.isfinite(pts)):
+        raise ValueError("point coordinates must be finite (no nan or inf)")
+    return pts
 
 
 def _norms(v) -> np.ndarray:
@@ -182,18 +193,19 @@ def equal_volume_link(cyl: CylinderParams, h_cn: float) -> ConeParams:
     Raises
     ------
     ValueError
-        if ``h_cn <= 0`` or no root with ``r_cn > h_cn`` exists.
+        if ``h_cn`` is not positive and finite, or no finite root with
+        ``r_cn > h_cn`` exists.
     """
-    if not h_cn > 0.0:
-        raise ValueError(f"cone half height must be positive, got {h_cn}")
+    if not 0.0 < h_cn < math.inf:
+        raise ValueError(f"cone half height must be positive and finite, got {h_cn}")
     # Cardano's real root of r^2 (r - h_cn) = t, with c = h_cn^3 / 27: every
     # term is positive, so nothing cancels
     t = 1.5 * cyl.r_cl * cyl.r_cl * cyl.h
     c = h_cn * h_cn * h_cn / 27.0
     u = float(np.cbrt(c + 0.5 * t + math.sqrt(0.5 * t * (2.0 * c + 0.5 * t))))
     r_cn = h_cn / 3.0 + u + h_cn * h_cn / (9.0 * u)
-    if not r_cn > h_cn:
-        raise ValueError(f"no slant height > {h_cn} matches the cylinder volume")
+    if not h_cn < r_cn < math.inf:
+        raise ValueError(f"no finite slant height > {h_cn} matches the cylinder volume")
     return ConeParams(r_cn=r_cn, theta=math.acos(h_cn / r_cn))
 
 
@@ -209,10 +221,9 @@ def equal_shape_link(r_cl: float, a: float) -> tuple[CylinderParams, ConeParams]
     faces.
 
     Requires ``a > 1``: an elongated cylinder, so the element prefers its
-    axis direction; and ``a^2`` finite, so the slant factor exists.
+    axis direction; ``a^2`` finite, so the slant factor exists; and the
+    finite sizes that `CylinderParams` and `ConeParams` require.
     """
-    if not r_cl > 0.0:
-        raise ValueError(f"cylinder radius must be positive, got {r_cl}")
     if not a > 1.0:
         raise ValueError(f"aspect ratio must exceed 1, got {a}")
     slant = math.sqrt(a * a + 1.0)
@@ -286,9 +297,7 @@ def _close_pair_keys(points, r: float, sides=None) -> np.ndarray:
     """The ascending keys ``i * n + j`` of `close_pairs`: ``uint32`` when every
     key fits, that is for ``n <= 65536`` (the largest key is ``n*n - n - 1``),
     and ``int64`` otherwise."""
-    pts = np.asarray(points, dtype=float)
-    if pts.ndim != 2 or pts.shape[1] != 3:
-        raise ValueError(f"points must be an (n, 3) array, got shape {pts.shape}")
+    pts = _as_points(points)
     r = float(r)
     if not r >= 0.0:
         raise ValueError(f"pair distance must be nonnegative, got {r}")

@@ -6,7 +6,9 @@ hard-core process (weak regularity), and force-biased ball packing
 (strong regularity).  A volume-preserving compression turns the two
 regular models into compressed, anisotropic ones.
 
-Every generator is a pure function of ``(spec, window, seed)``: the RNG
+Each model has one spec, `ModelSpec`.  Every generator is a pure function
+of ``(model, window, seed)`` and makes its own kind uncompressed;
+`simulate_model` dispatches on the kind and compresses.  The RNG
 is a counter-based Philox stream keyed by the campaign seed and the
 replicate index, so replicates are independent and each one can be
 regenerated on its own.
@@ -18,13 +20,11 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import _parallel
-from .geometry import as_direction, close_pairs
+from .geometry import Z_AXIS, _as_points, close_pairs
 
 __all__ = [
     "BoxWindow",
     "PointPattern",
-    "PlcppSpec",
-    "HardCoreSpec",
     "ModelSpec",
     "replicate_rng",
     "simulate_poisson",
@@ -87,12 +87,7 @@ class PointPattern:
 
     def __post_init__(self):
         pts = np.asarray(self.points, dtype=float)
-        if pts.size == 0:
-            pts = pts.reshape(0, 3)
-        if pts.ndim != 2 or pts.shape[1] != 3:
-            raise ValueError(f"points must be an (n, 3) array, got shape {pts.shape}")
-        if not np.all(np.isfinite(pts)):
-            raise ValueError("point coordinates must be finite (no nan or inf)")
+        pts = _as_points(pts.reshape(0, 3) if pts.size == 0 else pts)
         if pts.shape[0] and not np.all(self.window.contains(pts)):
             raise ValueError("all points must lie inside the closed window")
         # sorted rows put equal points next to each other; np.unique(axis=0)
@@ -107,64 +102,116 @@ class PointPattern:
         return self.points.shape[0]
 
 
-@dataclass(frozen=True)
-class PlcppSpec:
-    """Poisson line cluster process parameters.
+# the parameters each model takes besides ``rho``, in the order `ModelSpec.describe`
+# echoes them; `ModelSpec` takes exactly these, and the CLI's model flags read them
+MODEL_PARAMS = {"poisson": (), "plcpp": ("rho_l", "alpha", "sigma"),
+                "matern": ("hardcore_r",), "packing": ("hardcore_r",)}
 
-    ``rho_l`` lines per unit area of the orthogonal cross-section, each
-    carrying a 1D Poisson process of intensity ``alpha``, with points
-    scattered off the line by an isotropic normal with standard deviation
-    ``sigma`` per orthogonal coordinate.  Total intensity is
-    ``rho = rho_l * alpha``.
+
+@dataclass(frozen=True)
+class ModelSpec:
+    """One simulation model and its parameters, the only spec of each model.
+
+    ``plcpp`` strings Poisson(``alpha``) points along Poisson lines parallel
+    to z, ``rho_l`` per unit area of the xy cross-section, and scatters each
+    off its line by N(0, ``sigma``^2) per orthogonal coordinate, so that
+    ``rho = rho_l * alpha``.  ``matern`` keeps its points ``hardcore_r``
+    apart, and ``packing`` packs balls of radius ``hardcore_r``.
+    ``compress_c`` is the optional compression that `simulate_model` applies
+    after generation; leaving it unset keeps the model isotropic.  Build
+    instances through the classmethods; `simulate_model` and each
+    ``simulate_<kind>`` generator take them.
     """
 
+    kind: str
     rho: float
-    rho_l: float
-    alpha: float
-    sigma: float
-    axis: np.ndarray = None
+    rho_l: float = None
+    alpha: float = None
+    sigma: float = None
+    hardcore_r: float = None
+    compress_c: float = None
 
     def __post_init__(self):
-        if self.axis is None:
-            object.__setattr__(self, "axis", np.array([0.0, 0.0, 1.0]))
-        object.__setattr__(self, "axis", as_direction(self.axis))
-        if not all(0.0 < x < math.inf for x in (self.rho, self.rho_l, self.alpha)):
-            raise ValueError("intensities must be positive")
-        if abs(self.rho - self.rho_l * self.alpha) > 1e-9 * self.rho:
+        takes = MODEL_PARAMS.get(self.kind)
+        if takes is None:
+            raise ValueError(f"unknown model kind {self.kind!r}")
+        given = tuple(k for k, v in vars(self).items()
+                      if v is not None and k not in ("kind", "rho", "compress_c"))
+        if given != takes:  # both in field order
+            raise ValueError(f"{self.kind} takes {list(takes)} besides rho, got {list(given)}")
+        rho, r = self.rho, self.hardcore_r
+        if self.kind == "plcpp":
+            if not all(0.0 < x < math.inf for x in (rho, self.rho_l, self.alpha)):
+                raise ValueError("intensities must be positive")
+            if abs(rho - self.rho_l * self.alpha) > 1e-9 * rho:
+                raise ValueError(
+                    f"rho must equal rho_l * alpha, got {rho} vs {self.rho_l * self.alpha}"
+                )
+            if not 0.0 <= self.sigma < math.inf:
+                raise ValueError(f"sigma must be nonnegative, got {self.sigma}")
+        else:
+            if r is not None and not r > 0.0:
+                raise ValueError(f"hard-core distance must be positive, got {r}")
+            # an infinite rho is left to the hard-core models' density bounds below
+            if not (0.0 < rho < math.inf or rho == math.inf and r is not None):
+                raise ValueError(f"intensity must be positive, got {rho}")
+            fill = None if r is None else rho * (_BALL * r**3)
+            if self.kind == "matern" and not fill < 1.0:
+                raise ValueError(
+                    f"matern intensity {rho} is not achievable at r={r}: "
+                    f"rho * (4/3) pi r^3 = {fill:.4g} >= 1"
+                )
+            if self.kind == "packing" and not fill <= 0.5:
+                raise ValueError(
+                    f"packing too dense to converge reliably: rho * (4/3) pi r^3 = "
+                    f"{fill:.4g} > 0.5"
+                )
+        if self.compress_c is not None and not 0.0 < self.compress_c <= 1.0:
             raise ValueError(
-                f"rho must equal rho_l * alpha, got {self.rho} vs {self.rho_l * self.alpha}"
+                f"compression factor must be in (0, 1], got {self.compress_c}"
             )
-        if not 0.0 <= self.sigma < math.inf:
-            raise ValueError(f"sigma must be nonnegative, got {self.sigma}")
 
+    @classmethod
+    def poisson(cls, rho: float) -> "ModelSpec":
+        return cls(kind="poisson", rho=rho)
 
-@dataclass(frozen=True)
-class HardCoreSpec:
-    """Hard-core model parameters: target intensity, minimum inter-point
-    distance ``r``, and which generator enforces it."""
+    @classmethod
+    def plcpp(cls, rho: float, rho_l: float, sigma: float, alpha: float = None) -> "ModelSpec":
+        if rho_l is None and alpha is None:
+            raise ValueError("plcpp needs rho_l or alpha")
+        # the one left None is rho over the other (inf over 0, which is refused)
+        if rho_l is None:
+            rho_l = rho / alpha if alpha else math.inf
+        elif alpha is None:
+            alpha = rho / rho_l if rho_l else math.inf
+        return cls(kind="plcpp", rho=rho, rho_l=rho_l, alpha=alpha, sigma=sigma)
 
-    rho: float
-    r: float
-    kind: str = "matern"
+    @classmethod
+    def matern(cls, rho: float, hardcore_r: float) -> "ModelSpec":
+        return cls(kind="matern", rho=rho, hardcore_r=hardcore_r)
 
-    def __post_init__(self):
-        if self.kind not in ("matern", "packing"):
-            raise ValueError(f"kind must be 'matern' or 'packing', got {self.kind!r}")
-        if not self.r > 0.0:
-            raise ValueError(f"hard-core distance must be positive, got {self.r}")
-        if not self.rho > 0.0:
-            raise ValueError(f"intensity must be positive, got {self.rho}")
-        ball = _BALL * self.r**3
-        if self.kind == "matern" and self.rho * ball >= 1.0:
-            raise ValueError(
-                f"matern intensity {self.rho} is not achievable at r={self.r}: "
-                f"rho * (4/3) pi r^3 = {self.rho * ball:.4g} >= 1"
-            )
-        if self.kind == "packing" and self.rho * ball > 0.5:
-            raise ValueError(
-                f"packing too dense to converge reliably: rho * (4/3) pi r^3 = "
-                f"{self.rho * ball:.4g} > 0.5"
-            )
+    @classmethod
+    def packing(cls, rho: float, hardcore_r: float) -> "ModelSpec":
+        return cls(kind="packing", rho=rho, hardcore_r=hardcore_r)
+
+    def compressed(self, c: float) -> "ModelSpec":
+        if self.compress_c is not None:
+            raise ValueError("model is already compressed")
+        return replace(self, compress_c=c)
+
+    def replicate_window(self, window: BoxWindow) -> BoxWindow:
+        """The window of a replicate simulated in ``window``, mapped by `compress`."""
+        if self.compress_c is None:
+            return window
+        return compress(PointPattern(np.empty((0, 3)), window), self.compress_c).window
+
+    def describe(self) -> dict:
+        """Flat parameter echo for manifests and CSV headers."""
+        out = {"model": self.kind, "rho": self.rho}
+        out.update((key, getattr(self, key)) for key in MODEL_PARAMS[self.kind])
+        if self.compress_c is not None:
+            out["compress_c"] = self.compress_c
+        return out
 
 
 # the annotation is a string, so that importing this module loads no numpy.random
@@ -183,12 +230,20 @@ def _uniform_in(rng, lo, hi, count):
     return lo + rng.random((count, 3)) * (hi - lo)
 
 
-def simulate_poisson(rho: float, window: BoxWindow, seed: int) -> PointPattern:
-    """Homogeneous Poisson process of intensity ``rho`` in ``window``."""
-    if not 0.0 < rho < math.inf:
-        raise ValueError(f"intensity must be positive, got {rho}")
+def _check_generated(model: ModelSpec, kind: str):
+    """Refuse a model that the ``simulate_<kind>`` generator does not make as given."""
+    if model.kind != kind:
+        raise ValueError(f"expected a {kind} model, got kind={model.kind!r}")
+    if model.compress_c is not None:
+        raise ValueError(f"simulate_{kind} takes an uncompressed model; "
+                         f"simulate_model applies compress_c={model.compress_c}")
+
+
+def simulate_poisson(model: ModelSpec, window: BoxWindow, seed) -> PointPattern:
+    """Homogeneous Poisson process of intensity ``model.rho`` in ``window``."""
+    _check_generated(model, "poisson")
     rng = replicate_rng(seed)
-    n = rng.poisson(rho * window.volume)
+    n = rng.poisson(model.rho * window.volume)
     return PointPattern(_uniform_in(rng, window.lo, window.hi, n), window)
 
 
@@ -197,20 +252,13 @@ def _margin(window: BoxWindow, *scales: float) -> float:
     return max(*scales, 0.1 * float(np.max(window.sides)))
 
 
-def _orthonormal_frame(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Deterministic orthonormal complement (e1, e2) of the unit vector u."""
-    helper = np.zeros(3)
-    helper[int(np.argmin(np.abs(u)))] = 1.0
-    e1 = np.cross(helper, u)
-    e1 /= math.sqrt(float(e1 @ e1))
-    e2 = np.cross(u, e1)
-    return e1, e2
+# the lines' frame (e1, e2, u): a point is formed as l1 e1 + l2 e2 + t u, in this
+# order and with these signed zeros, which the fixed-seed outputs pin
+_E1, _E2 = np.array([0.0, -1.0, 0.0]), np.array([1.0, 0.0, -0.0])
 
 
-def simulate_plcpp(
-    spec: PlcppSpec, window: BoxWindow, seed: int, return_lines: bool = False
-):
-    """Poisson line cluster process with lines parallel to ``spec.axis``.
+def simulate_plcpp(model: ModelSpec, window: BoxWindow, seed, return_lines: bool = False):
+    """Poisson line cluster process with lines parallel to z.
 
     Lines are a Poisson process on the cross-section of the dilated
     window; each line carries a 1D Poisson(``alpha``) process over the
@@ -221,11 +269,11 @@ def simulate_plcpp(
     With ``return_lines`` the parent line foot points (one 3-vector per
     line, axial coordinate 0) are returned alongside the pattern.
     """
+    _check_generated(model, "plcpp")
     rng = replicate_rng(seed)
-    u = spec.axis
-    e1, e2 = _orthonormal_frame(u)
+    e1, e2, u = _E1, _E2, Z_AXIS
 
-    big = window.dilated(_margin(window, 5.0 * spec.sigma))
+    big = window.dilated(_margin(window, 5.0 * model.sigma))
     corners = np.array(
         [[x, y, z] for x in (big.lo[0], big.hi[0])
          for y in (big.lo[1], big.hi[1])
@@ -237,14 +285,14 @@ def simulate_plcpp(
     area = (c1.max() - c1.min()) * (c2.max() - c2.min())
     span = t.max() - t.min()
 
-    n_lines = rng.poisson(spec.rho_l * area)
+    n_lines = rng.poisson(model.rho_l * area)
     line1 = rng.uniform(c1.min(), c1.max(), n_lines)
     line2 = rng.uniform(c2.min(), c2.max(), n_lines)
-    counts = rng.poisson(spec.alpha * span, n_lines)
+    counts = rng.poisson(model.alpha * span, n_lines)
     total = int(counts.sum())
     axial = rng.uniform(t.min(), t.max(), total)
     parent = np.repeat(np.arange(n_lines), counts)
-    disp = rng.normal(0.0, spec.sigma, (total, 2)) if spec.sigma > 0 else np.zeros((total, 2))
+    disp = rng.normal(0.0, model.sigma, (total, 2)) if model.sigma > 0 else np.zeros((total, 2))
 
     pts = (
         np.multiply.outer(line1[parent] + disp[:, 0], e1)
@@ -261,32 +309,32 @@ def simulate_plcpp(
 def matern_proposal_intensity(rho: float, r: float) -> float:
     """Poisson proposal intensity whose Matérn II thinning has intensity ``rho``.
 
-    Inverts ``rho = (1 - exp(-lam * V)) / V`` with ``V = (4/3) pi r^3``.
+    Inverts ``rho = (1 - exp(-lam * V)) / V`` with ``V = (4/3) pi r^3``,
+    for the achievable ``rho * V < 1`` that `ModelSpec` requires.
     """
     v = _BALL * r**3
-    if rho * v >= 1.0:
-        raise ValueError(f"intensity {rho} not achievable at hard-core distance {r}")
     return -math.log1p(-rho * v) / v
 
 
-def simulate_matern(spec: HardCoreSpec, window: BoxWindow, seed: int) -> PointPattern:
+def simulate_matern(model: ModelSpec, window: BoxWindow, seed) -> PointPattern:
     """Matérn type II hard-core process.
 
     Proposes Poisson points with i.i.d. uniform marks on a dilated window
-    and keeps a point iff no proposal within ``r`` carries a smaller mark,
-    which guarantees the minimum inter-point distance ``r``.
+    and keeps a point iff no proposal within ``r = model.hardcore_r``
+    carries a smaller mark, which guarantees the minimum inter-point
+    distance ``r``.
     """
-    if spec.kind != "matern":
-        raise ValueError(f"expected a matern spec, got kind={spec.kind!r}")
+    _check_generated(model, "matern")
+    r = model.hardcore_r
     rng = replicate_rng(seed)
-    lam = matern_proposal_intensity(spec.rho, spec.r)
-    big = window.dilated(_margin(window, spec.r))
+    lam = matern_proposal_intensity(model.rho, r)
+    big = window.dilated(_margin(window, r))
     n = rng.poisson(lam * big.volume)
     pts = _uniform_in(rng, big.lo, big.hi, n)
     marks = rng.random(n)
 
     keep = np.ones(n, dtype=bool)
-    i, j = close_pairs(pts, spec.r)
+    i, j = close_pairs(pts, r)
     # the member of each close pair with the larger mark dies,
     # comparing against all proposals (dead ones still kill)
     keep[np.where(marks[i] < marks[j], j, i)] = False
@@ -295,11 +343,11 @@ def simulate_matern(spec: HardCoreSpec, window: BoxWindow, seed: int) -> PointPa
 
 
 def simulate_packing(
-    spec: HardCoreSpec, window: BoxWindow, seed: int, max_sweeps: int = 100_000
+    model: ModelSpec, window: BoxWindow, seed, max_sweeps: int = 100_000
 ) -> PointPattern:
     """Centers of a force-biased hard ball packing under periodic boundaries.
 
-    ``spec.r`` is the ball radius, so centers must stay ``2 r`` apart.
+    ``r = model.hardcore_r`` is the ball radius, so centers must stay ``2 r`` apart.
     Places exactly ``round(rho * |window|)`` centers uniformly, then
     repeatedly pushes every overlapping pair apart along its center line
     proportionally to the overlap depth while the ball diameter grows to
@@ -316,14 +364,13 @@ def simulate_packing(
     changes no output bit.  The centers are kept component-major, as a
     ``(3, n)`` array, for the whole loop.
     """
-    if spec.kind != "packing":
-        raise ValueError(f"expected a packing spec, got kind={spec.kind!r}")
+    _check_generated(model, "packing")
     rng = replicate_rng(seed)
     sides = window.sides
     col = sides[:, None]
-    n = int(round(spec.rho * window.volume))
+    n = int(round(model.rho * window.volume))
     pos = (rng.random((n, 3)) * sides).T.copy()
-    target = 2.0 * spec.r
+    target = 2.0 * model.hardcore_r
 
     if n > 1:
         # aim a hair past the target with a minimum push, so pairs cannot
@@ -378,7 +425,7 @@ def simulate_packing(
         if achieved < target:
             raise RuntimeError(
                 f"packing did not converge in {max_sweeps} sweeps: achieved "
-                f"ball radius {achieved / 2.0:.6g} < {spec.r:.6g} "
+                f"ball radius {achieved / 2.0:.6g} < {model.hardcore_r:.6g} "
                 f"(minimum center distance {achieved:.6g})"
             )
     # C order, the layout of the other simulators: ``vec @ u`` downstream
@@ -414,8 +461,8 @@ def compress(pattern: PointPattern, c: float) -> PointPattern:
     stretching the xy-plane isotropically; ``c = 1`` is the identity and
     ``compress(compress(p, c), 1/c)`` undoes it up to rounding.
     """
-    if not c > 0.0:
-        raise ValueError(f"compression factor must be positive, got {c}")
+    if not 0.0 < c < math.inf:
+        raise ValueError(f"compression factor c must be positive and finite, got {c}")
     scale = np.array([1.0 / math.sqrt(c), 1.0 / math.sqrt(c), c])
     return PointPattern(
         pattern.points * scale,
@@ -423,104 +470,13 @@ def compress(pattern: PointPattern, c: float) -> PointPattern:
     )
 
 
-# the parameters each model takes besides ``rho``, in the order `ModelSpec.describe`
-# echoes them; `ModelSpec` takes exactly these, and the CLI's model flags read them
-MODEL_PARAMS = {"poisson": (), "plcpp": ("rho_l", "alpha", "sigma"),
-                "matern": ("hardcore_r",), "packing": ("hardcore_r",)}
-
-
-@dataclass(frozen=True)
-class ModelSpec:
-    """Tagged bundle naming one simulation model and its parameters.
-
-    ``compress_c`` is the optional compression applied after generation;
-    leaving it unset keeps the model isotropic.  Build instances through
-    the classmethods, then hand the spec to `simulate_model`.
-    """
-
-    kind: str
-    rho: float
-    rho_l: float = None
-    alpha: float = None
-    sigma: float = None
-    hardcore_r: float = None
-    compress_c: float = None
-
-    def __post_init__(self):
-        takes = MODEL_PARAMS.get(self.kind)
-        if takes is None:
-            raise ValueError(f"unknown model kind {self.kind!r}")
-        given = tuple(k for k, v in vars(self).items()
-                      if v is not None and k not in ("kind", "rho", "compress_c"))
-        if given != takes:  # both in field order
-            raise ValueError(f"{self.kind} takes {list(takes)} besides rho, got {list(given)}")
-        self.inner_spec()  # validate eagerly
-        if self.compress_c is not None and not 0.0 < self.compress_c <= 1.0:
-            raise ValueError(
-                f"compression factor must be in (0, 1], got {self.compress_c}"
-            )
-
-    @classmethod
-    def poisson(cls, rho: float) -> "ModelSpec":
-        return cls(kind="poisson", rho=rho)
-
-    @classmethod
-    def plcpp(cls, rho: float, rho_l: float, sigma: float, alpha: float = None) -> "ModelSpec":
-        if rho_l is None and alpha is None:
-            raise ValueError("plcpp needs rho_l or alpha")
-        # the one left None is rho over the other (inf over 0, which PlcppSpec refuses)
-        if rho_l is None:
-            rho_l = rho / alpha if alpha else math.inf
-        elif alpha is None:
-            alpha = rho / rho_l if rho_l else math.inf
-        return cls(kind="plcpp", rho=rho, rho_l=rho_l, alpha=alpha, sigma=sigma)
-
-    @classmethod
-    def matern(cls, rho: float, hardcore_r: float) -> "ModelSpec":
-        return cls(kind="matern", rho=rho, hardcore_r=hardcore_r)
-
-    @classmethod
-    def packing(cls, rho: float, hardcore_r: float) -> "ModelSpec":
-        return cls(kind="packing", rho=rho, hardcore_r=hardcore_r)
-
-    def compressed(self, c: float) -> "ModelSpec":
-        if self.compress_c is not None:
-            raise ValueError("model is already compressed")
-        return replace(self, compress_c=c)
-
-    def replicate_window(self, window: BoxWindow) -> BoxWindow:
-        """The window of a replicate simulated in ``window``, mapped by `compress`."""
-        if self.compress_c is None:
-            return window
-        return compress(PointPattern(np.empty((0, 3)), window), self.compress_c).window
-
-    def inner_spec(self):
-        if self.kind == "poisson":
-            if not 0.0 < self.rho < math.inf:
-                raise ValueError(f"intensity must be positive, got {self.rho}")
-            return self.rho
-        if self.kind == "plcpp":
-            return PlcppSpec(
-                rho=self.rho, rho_l=self.rho_l, alpha=self.alpha, sigma=self.sigma
-            )
-        return HardCoreSpec(rho=self.rho, r=self.hardcore_r, kind=self.kind)
-
-    def describe(self) -> dict:
-        """Flat parameter echo for manifests and CSV headers."""
-        out = {"model": self.kind, "rho": self.rho}
-        out.update((key, getattr(self, key)) for key in MODEL_PARAMS[self.kind])
-        if self.compress_c is not None:
-            out["compress_c"] = self.compress_c
-        return out
-
-
 def simulate_model(model: ModelSpec, window: BoxWindow, seed) -> PointPattern:
     """Generate one replicate of ``model`` (applying compression if set)."""
     # looked up at call time, so that a patched ``simulate_<kind>`` is the one called
-    pattern = globals()[f"simulate_{model.kind}"](model.inner_spec(), window, seed)
-    if model.compress_c is not None:
-        pattern = compress(pattern, model.compress_c)
-    return pattern
+    generate = globals()[f"simulate_{model.kind}"]
+    if model.compress_c is None:
+        return generate(model, window, seed)
+    return compress(generate(replace(model, compress_c=None), window, seed), model.compress_c)
 
 
 def simulate_campaign(model: ModelSpec, window: BoxWindow, m: int, seed: int,

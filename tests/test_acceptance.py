@@ -34,7 +34,6 @@ from aniso3d.geometry import (
 )
 from aniso3d.isotest import TestConfig, power_curve_from_patterns, run_test
 from aniso3d.simulate import (
-    HardCoreSpec,
     ModelSpec,
     PointPattern,
     compress,
@@ -357,7 +356,7 @@ def test_criterion_9_simulator_contracts(packing_500, plcpp_high_500):
     clauses = []
 
     worst_matern = math.inf
-    spec = HardCoreSpec(rho=500.0, r=0.05, kind="matern")
+    spec = ModelSpec.matern(500.0, 0.05)
     for i in range(200):
         p = simulate_matern(spec, unit_cube(), (1006, i))
         d, _ = cKDTree(p.points).query(p.points, k=2)

@@ -33,7 +33,7 @@ EMPTY_WINDOW = "window must have positive extent, got lo=[0. 1. 0.], hi=[1. 0. 1
 
 class TestPatternFiles:
     def test_round_trip_exact(self, tmp_path):
-        pattern = simulate_poisson(200.0, unit_cube(), 55)
+        pattern = simulate_poisson(ModelSpec.poisson(200.0), unit_cube(), 55)
         path = tmp_path / "p.txt"
         write_pattern(path, pattern, comments=["round trip"])
         back = read_pattern(path)
@@ -547,7 +547,7 @@ class TestEstimateCommand:
 
     def test_bad_file_among_inputs_is_named(self, tmp_path, capsys):
         good, bad = tmp_path / "a.txt", tmp_path / "bad.txt"
-        write_pattern(good, simulate_poisson(50.0, unit_cube(), 1))
+        write_pattern(good, simulate_poisson(ModelSpec.poisson(50.0), unit_cube(), 1))
         bad.write_text("window 0 1 0 1 0 1\n0.1 0.2 0.3\n0.1 0.2 0.3\n")
         out = tmp_path / "x.csv"
         code = run_cli("estimate", "--input", f"{good},{bad}", "--r-max", "0.1", "--out", out)
@@ -562,7 +562,7 @@ class TestEstimateCommand:
         # the pool jobs read the files; the first bad one in --input order is named
         paths = [tmp_path / f"{name}.txt" for name in ("a", "b", "c", "d")]
         for i, path in enumerate(paths[:2]):
-            write_pattern(path, simulate_poisson(50.0, unit_cube(), i))
+            write_pattern(path, simulate_poisson(ModelSpec.poisson(50.0), unit_cube(), i))
         paths[2].write_text("window 0 1 0 1 0 1\n0.1 0.2\n")
         paths[3].write_text("window 0 1 0 1 0 1\n0.1 0.2 nope\n")
         out = tmp_path / "x.csv"
@@ -582,9 +582,9 @@ class TestEstimateCommand:
         # the job that reads the 2x1x1 file refuses it, so a later file's fault
         # is not the one named, at any worker count
         paths = [tmp_path / f"{name}.txt" for name in ("cube", "wide", "nan")]
-        write_pattern(paths[0], simulate_poisson(50.0, unit_cube(), 1))
+        write_pattern(paths[0], simulate_poisson(ModelSpec.poisson(50.0), unit_cube(), 1))
         wide = BoxWindow(np.zeros(3), np.array([2.0, 1.0, 1.0]))
-        write_pattern(paths[1], simulate_poisson(50.0, wide, 2))
+        write_pattern(paths[1], simulate_poisson(ModelSpec.poisson(50.0), wide, 2))
         paths[2].write_text("window 0 1 0 1 0 1\n0.1 nan 0.3\n")
         out = tmp_path / "x.csv"
         extra = ["--r-max", "0.1"] if command == "estimate" else ["--r2-grid", "0.05"]
@@ -635,9 +635,9 @@ class TestEstimateCommand:
     def test_window_mismatch(self, tmp_path, capsys):
         d = tmp_path / "mix"
         d.mkdir()
-        write_pattern(d / "a.txt", simulate_poisson(50.0, unit_cube(), 1))
+        write_pattern(d / "a.txt", simulate_poisson(ModelSpec.poisson(50.0), unit_cube(), 1))
         other = BoxWindow(np.zeros(3), np.array([2.0, 1.0, 1.0]))
-        write_pattern(d / "b.txt", simulate_poisson(50.0, other, 2))
+        write_pattern(d / "b.txt", simulate_poisson(ModelSpec.poisson(50.0), other, 2))
         code = run_cli("estimate", "--input", d, "--r-max", "0.1",
                        "--out", tmp_path / "x.csv")
         assert code == 1
@@ -756,7 +756,7 @@ class TestTestAndPowerCommands:
         assert capsys.readouterr().err == (
             "error: --m needs at least 2 replicates for the test, got 1\n")
         one = tmp_path / "one.txt"
-        write_pattern(one, simulate_poisson(50.0, unit_cube(), 1))
+        write_pattern(one, simulate_poisson(ModelSpec.poisson(50.0), unit_cube(), 1))
         code = run_cli("test", "--input", one, "--r2-grid", "0.05", "--out", out)
         assert code == 1 and not out.exists()
         assert capsys.readouterr().err == (

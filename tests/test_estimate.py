@@ -111,6 +111,10 @@ class TestTranslationWeight:
         with pytest.raises(ValueError, match="realizable"):
             translation_weight(unit_cube(), [1.0, 0.0, 0.0])
 
+    def test_refuses_nan_displacement(self):
+        with pytest.raises(ValueError, match="realizable"):
+            translation_weight(unit_cube(), [math.nan, 0.0, 0.0])
+
 
 class TestIntensitySquared:
     def test_values(self):
@@ -120,7 +124,7 @@ class TestIntensitySquared:
         assert intensity_sq_hat(PointPattern(pts, big)) == pytest.approx(22.5)
 
     def test_poisson_scale(self):
-        p = simulate_poisson(500.0, unit_cube(), 3)
+        p = simulate_poisson(ModelSpec.poisson(500.0), unit_cube(), 3)
         assert intensity_sq_hat(p) == pytest.approx(p.n * (p.n - 1))
 
     def test_requires_two_points(self):
@@ -169,7 +173,7 @@ class TestSingleElementEstimates:
                                                               estimator):
         # at 1e-60 |W|^2 underflows to 0 (a ZeroDivisionError), at 1e120 |W|
         # overflows to inf (a K of 0, or NaN)
-        pattern = cube_of_side(side, simulate_poisson(300.0, unit_cube(), 48))
+        pattern = cube_of_side(side, simulate_poisson(ModelSpec.poisson(300.0), unit_cube(), 48))
 
         def unreachable(*args, **kwargs):
             raise AssertionError("pairs were extracted")
@@ -196,7 +200,7 @@ class TestProfiles:
                     npt.assert_allclose(fast.values, slow, rtol=1e-12, atol=0.0)
 
     def test_grid_point_equals_single_estimate(self):
-        pattern = simulate_poisson(300.0, unit_cube(), 21)
+        pattern = simulate_poisson(ModelSpec.poisson(300.0), unit_cube(), 21)
         grid = np.array([0.02, 0.05, 0.08])
         for kind, single in (("conical", conical_k), ("cylindrical", cylindrical_k)):
             prof = k_profile(pattern, Z_AXIS, kind, grid, 2.0)
@@ -206,7 +210,7 @@ class TestProfiles:
                 assert prof.values[i] == pytest.approx(direct, rel=1e-12)
 
     def test_nondecreasing(self):
-        pattern = simulate_poisson(400.0, unit_cube(), 22)
+        pattern = simulate_poisson(ModelSpec.poisson(400.0), unit_cube(), 22)
         grid = np.linspace(0.0, 0.1, 64)
         for kind in ("conical", "cylindrical"):
             prof = k_profile(pattern, Z_AXIS, kind, grid, 2.0)
@@ -215,7 +219,7 @@ class TestProfiles:
 
     def test_relabeling_leaves_values_unchanged(self):
         rng = np.random.default_rng(23)
-        pattern = simulate_poisson(200.0, unit_cube(), 24)
+        pattern = simulate_poisson(ModelSpec.poisson(200.0), unit_cube(), 24)
         shuffled = PointPattern(rng.permutation(pattern.points, axis=0), unit_cube())
         grid = np.linspace(0.0, 0.08, 32)
         for kind in ("conical", "cylindrical"):
@@ -245,6 +249,12 @@ class TestProfiles:
                            r"window: .* so choose r_grid entry < 0\.447213$"):
             profile([0.1, 0.6])
 
+    def test_refuses_nan_direction(self):
+        # a nan axis once passed as a unit vector, and every K read 0
+        pattern = simulate_poisson(ModelSpec.poisson(300.0), unit_cube(), 21)
+        with pytest.raises(ValueError, match="^direction must have unit norm, got"):
+            k_profile(pattern, [math.nan, 0.0, 0.0], "conical", [0.0, 0.05, 0.1], 2.0)
+
     @pytest.mark.parametrize("grid", [[np.nan], [np.nan, 0.1], [0.0, 0.05, np.nan, 0.1],
                                       [0.05, np.nan]])
     @pytest.mark.parametrize("profile", [
@@ -269,22 +279,22 @@ class TestProfiles:
 
 class TestPooling:
     def test_single_pattern_identity(self):
-        pattern = simulate_poisson(300.0, unit_cube(), 25)
+        pattern = simulate_poisson(ModelSpec.poisson(300.0), unit_cube(), 25)
         grid = np.linspace(0.0, 0.08, 16)
         solo = k_profile(pattern, Y_AXIS, "cylindrical", grid, 2.0)
         pooled = pooled_profile([pattern], Y_AXIS, "cylindrical", grid, 2.0)
         npt.assert_array_equal(solo.values, pooled.values)
 
     def test_duplicated_pattern_identity(self):
-        pattern = simulate_poisson(300.0, unit_cube(), 26)
+        pattern = simulate_poisson(ModelSpec.poisson(300.0), unit_cube(), 26)
         grid = np.linspace(0.0, 0.08, 16)
         solo = k_profile(pattern, Y_AXIS, "conical", grid, 2.0)
         pooled = pooled_profile([pattern, pattern], Y_AXIS, "conical", grid, 2.0)
         npt.assert_allclose(pooled.values, solo.values, rtol=1e-14)
 
     def test_window_mismatch(self):
-        a = simulate_poisson(100.0, unit_cube(), 28)
-        b = simulate_poisson(100.0, BoxWindow(np.zeros(3), 2 * np.ones(3)), 29)
+        a = simulate_poisson(ModelSpec.poisson(100.0), unit_cube(), 28)
+        b = simulate_poisson(ModelSpec.poisson(100.0), BoxWindow(np.zeros(3), 2 * np.ones(3)), 29)
         with pytest.raises(ValueError, match="window"):
             pooled_profile([a, b], Z_AXIS, "conical", [0.05], 2.0)
 
@@ -293,7 +303,7 @@ class TestPooling:
             pooled_profile([], Z_AXIS, "conical", [0.05], 2.0)
 
     def test_refuses_bad_kind_before_any_work(self, monkeypatch):
-        pats = [simulate_poisson(100.0, unit_cube(), s) for s in (42, 43)]
+        pats = [simulate_poisson(ModelSpec.poisson(100.0), unit_cube(), s) for s in (42, 43)]
 
         def unreachable(*args, **kwargs):
             raise AssertionError("pairs were extracted")
@@ -303,7 +313,7 @@ class TestPooling:
             pooled_profile(pats, Z_AXIS, "diag", [0.0, 0.05], 2.0)
 
     def test_sparse_replicates_add_nothing_to_ratio_of_sums(self):
-        pats = [simulate_poisson(300.0, unit_cube(), s) for s in (40, 41)]
+        pats = [simulate_poisson(ModelSpec.poisson(300.0), unit_cube(), s) for s in (40, 41)]
         sparse = [PointPattern(np.empty((0, 3)), unit_cube()),
                   PointPattern([[0.5, 0.5, 0.5]], unit_cube())]
         grid = np.linspace(0.0, 0.08, 16)
@@ -315,7 +325,8 @@ class TestPooling:
     @pytest.mark.parametrize("side", [1e-60, 1e120])
     def test_refuses_window_out_of_float_scale_before_any_work(self, monkeypatch, side):
         # at 1e-60 |W|^2 underflows to 0, at 1e120 |W| overflows to inf
-        pats = [cube_of_side(side, simulate_poisson(300.0, unit_cube(), s)) for s in (44, 45)]
+        pats = [cube_of_side(side, simulate_poisson(ModelSpec.poisson(300.0), unit_cube(), s))
+                for s in (44, 45)]
 
         def unreachable(*args, **kwargs):
             raise AssertionError("the pool started")
@@ -332,7 +343,7 @@ class TestPooling:
         # K scales with the cube of the side; 1e-30 is not a power of two, so
         # the scaled profile agrees to rounding, not bit for bit
         side = 1e-30
-        pats = [simulate_poisson(300.0, unit_cube(), s) for s in (46, 47)]
+        pats = [simulate_poisson(ModelSpec.poisson(300.0), unit_cube(), s) for s in (46, 47)]
         grid = np.linspace(0.0, 0.08, 16)
         for kind in ("conical", "cylindrical"):
             unit = pooled_profile(pats, Z_AXIS, kind, grid, 2.0).values
@@ -347,7 +358,8 @@ class TestPooling:
             pooled_profile([lone, lone], Z_AXIS, "conical", [0.05], 2.0)
 
     def test_direction_exchange_under_isotropy(self):
-        pats = [simulate_poisson(500.0, unit_cube(), (30, i)) for i in range(150)]
+        pats = [simulate_poisson(ModelSpec.poisson(500.0), unit_cube(), (30, i))
+                for i in range(150)]
         grid = np.array([0.06])
         vals = {}
         for u, nm in ((X_AXIS, "x"), (Y_AXIS, "y"), (Z_AXIS, "z")):
@@ -359,7 +371,8 @@ class TestPooling:
     def test_oblique_direction_calibrates(self):
         # the Poisson identity K = element volume holds for any axis
         diag = np.ones(3) / math.sqrt(3.0)
-        pats = [simulate_poisson(500.0, unit_cube(), (32, i)) for i in range(60)]
+        pats = [simulate_poisson(ModelSpec.poisson(500.0), unit_cube(), (32, i))
+                for i in range(60)]
         grid = np.array([0.06])
         value = pooled_profile(pats, diag, "conical", grid, 2.0).values[0]
         from aniso3d.geometry import cone_volume
@@ -371,9 +384,9 @@ class TestPooling:
         # squeezing z pulls the vertical neighbour shell inside the z elements
         # first (K_z above K_x just past the compressed exclusion), then the
         # stretched horizontal shell lifts K_x above K_z in the mid range
-        from aniso3d.simulate import HardCoreSpec, compress, simulate_packing
+        from aniso3d.simulate import compress, simulate_packing
 
-        spec = HardCoreSpec(rho=500.0, r=0.05, kind="packing")
+        spec = ModelSpec.packing(500.0, 0.05)
         pats = [
             compress(simulate_packing(spec, unit_cube(), (31, i)), 0.7)
             for i in range(40)
@@ -387,7 +400,7 @@ class TestPooling:
 
 class TestReplicateNumerators:
     def test_one_extraction_serves_every_cell(self):
-        pattern = simulate_poisson(300.0, unit_cube(), 42)
+        pattern = simulate_poisson(ModelSpec.poisson(300.0), unit_cube(), 42)
         grid = np.linspace(0.0, 0.06, 12)
         aspects = [1.5, 3.0]
         axes = [X_AXIS, Y_AXIS, Z_AXIS]
@@ -433,7 +446,7 @@ class TestReplicateNumerators:
           direction (below 25 values);
         - 1 KiB a point for the finder's per-point and per-range arrays;
         - 2 MiB for one candidate chunk, the grid and the result."""
-        pattern = simulate_poisson(4000.0, unit_cube(), 7)
+        pattern = simulate_poisson(ModelSpec.poisson(4000.0), unit_cube(), 7)
         grid = default_r_grid(unit_cube(), 2.0)
         pairs = len(close_pairs(pattern.points, profile_extent(grid[-1], 2.0))[0])
         bound = (16 * pairs + 256 * min(pairs, estimate._PAIR_BUDGET)
@@ -462,7 +475,7 @@ class TestReplicateNumerators:
         - 1 KiB a point for the finder's per-point and per-range arrays;
         - 2 MiB for one candidate chunk, the grid and the result.
         With 8-byte keys, the join alone holds 16 B a pair."""
-        pattern = simulate_poisson(4000.0, unit_cube(), 7)
+        pattern = simulate_poisson(ModelSpec.poisson(4000.0), unit_cube(), 7)
         grid = default_r_grid(unit_cube(), 2.0)
         pairs = len(close_pairs(pattern.points, profile_extent(grid[-1], 2.0))[0])
         bound = (max(8 * pairs, 4 * pairs + 192 * min(pairs, estimate._PAIR_BUDGET))

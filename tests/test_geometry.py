@@ -17,6 +17,7 @@ from aniso3d.geometry import (
     ConeParams,
     CylinderParams,
     Z_AXIS,
+    as_direction,
     close_pairs,
     cone_contains,
     cone_volume,
@@ -27,7 +28,6 @@ from aniso3d.geometry import (
     equal_volume_link,
 )
 from aniso3d.simulate import (
-    HardCoreSpec,
     ModelSpec,
     matern_proposal_intensity,
     replicate_rng,
@@ -426,6 +426,13 @@ class TestClosePairs:
         with pytest.raises(ValueError, match="positive 3-vector"):
             close_pairs(pts, 0.1, np.array([1.0, 0.0, 1.0]))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_points(self, bad):
+        # three of the pairs lie within 0.5; a nan or inf scale and reach found none
+        pts = np.array([[0.0, 0.0, 0.0], [bad, 0.0, 0.0], [0.1, 0.0, 0.0], [0.2, 0.1, 0.0]])
+        with pytest.raises(ValueError, match=r"^point coordinates must be finite \(no nan or inf\)$"):
+            close_pairs(pts, 0.5)
+
     def test_workload_patterns_match_tree_query(self):
         """Pair sets and order equal to cKDTree's on the patterns the
         estimators, Matérn thinning and the packer query."""
@@ -442,7 +449,7 @@ class TestClosePairs:
             big = window.dilated(0.1)
             n = rng.poisson(matern_proposal_intensity(500.0, 0.05) * big.volume)
             cases.append((big.lo + rng.random((n, 3)) * big.sides, 0.05, None))
-            pos = simulate_packing(HardCoreSpec(500.0, 0.05, "packing"), window,
+            pos = simulate_packing(ModelSpec.packing(500.0, 0.05), window,
                                    (20161, seed)).points
             start = replicate_rng((20161, seed)).random((500, 3))
             for reach in (0.08 * (1.0 + 1e-6) + 0.03, 0.1, 0.13):
@@ -453,3 +460,29 @@ class TestClosePairs:
             assert_same_pairs(got, tree_pairs(pts, r, sides))
             found += len(got[0])
         assert found > 50_000
+
+
+class TestNonFiniteSizes:
+    """A non-finite direction or element size is refused, not carried into a
+    silent wrong answer."""
+
+    @pytest.mark.parametrize("u", [[math.nan, 0.0, 0.0], [0.0, math.inf, 0.0]])
+    def test_direction(self, u):
+        with pytest.raises(ValueError, match="^direction must have unit norm, got"):
+            as_direction(u)
+
+    @pytest.mark.parametrize("build, message", [
+        (lambda: ConeParams(math.inf, 0.4), "cone slant height must be positive and finite"),
+        (lambda: CylinderParams(math.inf, 1.0), "cylinder radius must be positive and finite"),
+        (lambda: CylinderParams(1.0, math.inf),
+         "cylinder half height must be positive and finite"),
+        (lambda: equal_shape_link(math.inf, 2.0), "cylinder radius must be positive and finite"),
+        (lambda: equal_volume_link(CylinderParams(1e200, 1e200), 1.0),
+         "no finite slant height > 1.0 matches the cylinder volume"),
+        (lambda: equal_volume_link(CylinderParams(1.0, 1.0), math.inf),
+         "cone half height must be positive and finite"),
+    ], ids=["cone inf", "cylinder radius inf", "cylinder height inf", "shape link inf",
+            "volume link overflow", "volume link inf"])
+    def test_element_sizes(self, build, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
+            build()

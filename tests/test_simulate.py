@@ -18,9 +18,7 @@ from aniso3d import simulate
 from aniso3d.simulate import (
     MODEL_PARAMS,
     BoxWindow,
-    HardCoreSpec,
     ModelSpec,
-    PlcppSpec,
     PointPattern,
     compress,
     matern_proposal_intensity,
@@ -34,9 +32,9 @@ from aniso3d.simulate import (
     unit_cube,
 )
 
-PLCPP = PlcppSpec(rho=500.0, rho_l=200.0, alpha=2.5, sigma=0.001)
-MATERN = HardCoreSpec(rho=500.0, r=0.05, kind="matern")
-PACKING = HardCoreSpec(rho=500.0, r=0.05, kind="packing")
+PLCPP = ModelSpec.plcpp(500.0, 200.0, 0.001)
+MATERN = ModelSpec.matern(500.0, 0.05)
+PACKING = ModelSpec.packing(500.0, 0.05)
 
 
 def min_distance(points) -> float:
@@ -60,7 +58,7 @@ def reference_packing(spec, window, seed, max_sweeps=100_000):
     sides = window.sides
     n = int(round(spec.rho * window.volume))
     pos = rng.random((n, 3)) * sides
-    target = 2.0 * spec.r
+    target = 2.0 * spec.hardcore_r
     goal = target * (1.0 + 1e-6)
     floor = 1e-3 * (goal - target)
     d_cur = 0.8 * goal
@@ -148,8 +146,9 @@ class TestWindowAndPattern:
     def test_building_a_pattern_loads_no_numpy_ma(self):
         src = os.path.dirname(os.path.dirname(os.path.abspath(simulate.__file__)))
         env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-        code = ("import sys; from aniso3d.simulate import simulate_poisson, unit_cube; "
-                "simulate_poisson(500.0, unit_cube(), 3); print('numpy.ma' in sys.modules)")
+        code = ("import sys; from aniso3d.simulate import ModelSpec, simulate_poisson, unit_cube; "
+                "simulate_poisson(ModelSpec.poisson(500.0), unit_cube(), 3); "
+                "print('numpy.ma' in sys.modules)")
         done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                               text=True, timeout=60, check=True)
         assert done.stdout.strip() == "False"
@@ -157,30 +156,32 @@ class TestWindowAndPattern:
 
 class TestPoisson:
     def test_mean_count(self):
-        counts = [simulate_poisson(500.0, unit_cube(), (40, i)).n for i in range(1000)]
+        counts = [simulate_poisson(ModelSpec.poisson(500.0), unit_cube(), (40, i)).n
+                  for i in range(1000)]
         assert 485.0 <= np.mean(counts) <= 515.0
 
     def test_count_scales_with_volume(self):
         big = BoxWindow(np.zeros(3), 2.0 * np.ones(3))
-        counts = [simulate_poisson(500.0, big, (41, i)).n for i in range(200)]
+        counts = [simulate_poisson(ModelSpec.poisson(500.0), big, (41, i)).n
+                  for i in range(200)]
         se = np.std(counts, ddof=1) / math.sqrt(len(counts))
         assert abs(np.mean(counts) - 4000.0) < 3.5 * se
 
     def test_deterministic(self):
-        a = simulate_poisson(500.0, unit_cube(), 7)
-        b = simulate_poisson(500.0, unit_cube(), 7)
+        a = simulate_poisson(ModelSpec.poisson(500.0), unit_cube(), 7)
+        b = simulate_poisson(ModelSpec.poisson(500.0), unit_cube(), 7)
         npt.assert_array_equal(a.points, b.points)
 
     def test_seeds_differ(self):
-        a = simulate_poisson(500.0, unit_cube(), 7)
-        b = simulate_poisson(500.0, unit_cube(), 8)
+        a = simulate_poisson(ModelSpec.poisson(500.0), unit_cube(), 7)
+        b = simulate_poisson(ModelSpec.poisson(500.0), unit_cube(), 8)
         assert a.n != b.n or not np.array_equal(a.points, b.points)
 
 
 class TestPlcpp:
     def test_spec_requires_consistent_intensities(self):
         with pytest.raises(ValueError, match="rho_l"):
-            PlcppSpec(rho=500.0, rho_l=100.0, alpha=2.5, sigma=0.01)
+            ModelSpec(kind="plcpp", rho=500.0, rho_l=100.0, alpha=2.5, sigma=0.01)
 
     def test_mean_count(self):
         counts = [simulate_plcpp(PLCPP, unit_cube(), (42, i)).n for i in range(600)]
@@ -188,7 +189,7 @@ class TestPlcpp:
         assert abs(np.mean(counts) - 500.0) < 3.0 * se
 
     def test_degenerate_sigma_stacks_points_on_lines(self):
-        spec = PlcppSpec(rho=500.0, rho_l=200.0, alpha=2.5, sigma=0.0)
+        spec = ModelSpec.plcpp(500.0, 200.0, 0.0)
         pattern, feet = simulate_plcpp(spec, unit_cube(), 5, return_lines=True)
         xy = np.unique(pattern.points[:, :2], axis=0)
         assert pattern.n > len(xy)  # points share lines
@@ -213,26 +214,6 @@ class TestPlcpp:
         a = simulate_plcpp(PLCPP, unit_cube(), (1, 2))
         b = simulate_plcpp(PLCPP, unit_cube(), (1, 2))
         npt.assert_array_equal(a.points, b.points)
-
-    def test_arbitrary_axis(self):
-        # columns along x instead of z: scatter is tiny in the y-z plane
-        spec = PlcppSpec(
-            rho=500.0, rho_l=200.0, alpha=2.5, sigma=0.001,
-            axis=np.array([1.0, 0.0, 0.0]),
-        )
-        pattern, feet = simulate_plcpp(spec, unit_cube(), 13, return_lines=True)
-        d = np.min(
-            np.linalg.norm(
-                pattern.points[:, None, 1:] - feet[None, :, 1:], axis=-1
-            ),
-            axis=1,
-        )
-        assert np.mean(d <= 5.0 * spec.sigma) > 0.99
-        counts = [
-            simulate_plcpp(spec, unit_cube(), (14, i)).n for i in range(100)
-        ]
-        se = np.std(counts, ddof=1) / math.sqrt(len(counts))
-        assert abs(np.mean(counts) - 500.0) < 3.5 * se
 
     def test_edge_stationarity(self):
         inner, outer = [], []
@@ -270,10 +251,10 @@ class TestMatern:
 
     def test_infeasible_intensity_rejected(self):
         with pytest.raises(ValueError, match="achievable"):
-            HardCoreSpec(rho=2000.0, r=0.05, kind="matern")
+            ModelSpec.matern(2000.0, 0.05)
 
     def test_tiny_radius_recovers_poisson_intensity(self):
-        spec = HardCoreSpec(rho=500.0, r=1e-4, kind="matern")
+        spec = ModelSpec.matern(500.0, 1e-4)
         counts = [simulate_matern(spec, unit_cube(), (46, i)).n for i in range(150)]
         se = np.std(counts, ddof=1) / math.sqrt(len(counts))
         assert abs(np.mean(counts) - 500.0) < 3.0 * se
@@ -311,10 +292,10 @@ class TestPacking:
     def test_packing_fraction_guard(self):
         assert 500.0 * 4.0 * math.pi * 0.05**3 / 3.0 == pytest.approx(0.2618, abs=5e-4)
         with pytest.raises(ValueError, match="dense"):
-            HardCoreSpec(rho=1000.0, r=0.05, kind="packing")
+            ModelSpec.packing(1000.0, 0.05)
 
     def test_single_ball(self):
-        spec = HardCoreSpec(rho=1.0, r=0.05, kind="packing")
+        spec = ModelSpec.packing(1.0, 0.05)
         assert simulate_packing(spec, unit_cube(), 3).n == 1
 
     def test_deterministic(self):
@@ -328,7 +309,7 @@ class TestPacking:
         + [
             (PACKING, (1.0, 0.8, 1.25), 51),
             # n = 2: the balls start 0.083 apart and must be pushed to 2R = 0.1
-            (HardCoreSpec(rho=2.0 / 0.15**3, r=0.05, kind="packing"), (0.15,) * 3, 52),
+            (ModelSpec.packing(2.0 / 0.15**3, 0.05), (0.15,) * 3, 52),
         ],
     )
     def test_neighbour_list_matches_fresh_queries(self, spec, sides, seed):
@@ -349,7 +330,7 @@ class TestPacking:
 
         for module in (simulate, sys.modules[__name__]):
             monkeypatch.setattr(module, "replicate_rng", lambda seed: Stream())
-        spec = HardCoreSpec(rho=12.0, r=0.05, kind="packing")
+        spec = ModelSpec.packing(12.0, 0.05)
         pattern = simulate_packing(spec, unit_cube(), 55)
         npt.assert_array_equal(pattern.points, reference_packing(spec, unit_cube(), 55))
         assert pattern.n == 12
@@ -377,7 +358,7 @@ class TestPacking:
     def test_packing_properties(self, n, r, sides, seed):
         window = BoxWindow(np.zeros(3), np.array(sides))
         assume(n * 4.0 * math.pi * r**3 / 3.0 <= 0.3 * window.volume)
-        spec = HardCoreSpec(rho=n / window.volume, r=r, kind="packing")
+        spec = ModelSpec.packing(n / window.volume, r)
         pattern = simulate_packing(spec, window, seed)
         assert pattern.n == n
         assert min_periodic_distance(pattern.points, window) >= 2.0 * r
@@ -386,27 +367,33 @@ class TestPacking:
 
 class TestCompress:
     def test_identity(self):
-        p = simulate_poisson(100.0, unit_cube(), 9)
+        p = simulate_poisson(ModelSpec.poisson(100.0), unit_cube(), 9)
         q = compress(p, 1.0)
         npt.assert_array_equal(p.points, q.points)
         npt.assert_array_equal(p.window.hi, q.window.hi)
 
     def test_window_and_volume(self):
-        p = simulate_poisson(100.0, unit_cube(), 10)
+        p = simulate_poisson(ModelSpec.poisson(100.0), unit_cube(), 10)
         q = compress(p, 0.7)
         npt.assert_allclose(q.window.hi, [1 / math.sqrt(0.7), 1 / math.sqrt(0.7), 0.7])
         assert abs(q.window.volume - 1.0) < 1e-12
         assert q.n == p.n
 
     def test_round_trip(self):
-        p = simulate_poisson(200.0, unit_cube(), 11)
+        p = simulate_poisson(ModelSpec.poisson(200.0), unit_cube(), 11)
         q = compress(compress(p, 0.7), 1.0 / 0.7)
         npt.assert_allclose(q.points, p.points, atol=1e-12)
 
     def test_rejects_nonpositive(self):
-        p = simulate_poisson(10.0, unit_cube(), 12)
+        p = simulate_poisson(ModelSpec.poisson(10.0), unit_cube(), 12)
         with pytest.raises(ValueError, match="positive"):
             compress(p, 0.0)
+
+    def test_rejects_infinite(self):
+        p = simulate_poisson(ModelSpec.poisson(10.0), unit_cube(), 12)
+        with pytest.raises(ValueError,
+                           match="^compression factor c must be positive and finite, got inf$"):
+            compress(p, math.inf)
 
 
 class TestModelSpec:
@@ -435,15 +422,70 @@ class TestModelSpec:
         (lambda: ModelSpec.plcpp(500.0, math.nan, 0.01), "intensities must be positive"),
         (lambda: ModelSpec.plcpp(500.0, 200.0, math.nan), "sigma must be nonnegative"),
         (lambda: ModelSpec.plcpp(500.0, 200.0, math.inf), "sigma must be nonnegative"),
-        (lambda: PlcppSpec(rho=math.nan, rho_l=200.0, alpha=2.5, sigma=0.01),
+        (lambda: ModelSpec(kind="plcpp", rho=math.nan, rho_l=200.0, alpha=2.5, sigma=0.01),
          "intensities must be positive"),
         (lambda: ModelSpec.poisson(math.inf), "intensity must be positive"),
-        (lambda: simulate_poisson(math.inf, unit_cube(), 1), "intensity must be positive"),
+        (lambda: simulate_poisson(ModelSpec.poisson(math.inf), unit_cube(), 1),
+         "intensity must be positive"),
     ], ids=["rho_l nan", "sigma nan", "sigma inf", "spec rho nan", "poisson inf",
             "simulate_poisson inf"])
     def test_refuses_non_finite_parameters(self, build, message):
         with pytest.raises(ValueError, match=message):
             build()
+
+    @pytest.mark.parametrize("fields, message", [
+        (dict(kind="poisson", rho=0.0), "intensity must be positive, got 0.0"),
+        (dict(kind="poisson", rho=math.nan), "intensity must be positive, got nan"),
+        (dict(kind="plcpp", rho=0.0, rho_l=200.0, alpha=0.0, sigma=0.01),
+         "intensities must be positive"),
+        (dict(kind="plcpp", rho=500.0, rho_l=200.0, alpha=math.inf, sigma=0.01),
+         "intensities must be positive"),
+        (dict(kind="plcpp", rho=500.0, rho_l=100.0, alpha=2.5, sigma=0.01),
+         "rho must equal rho_l * alpha, got 500.0 vs 250.0"),
+        (dict(kind="plcpp", rho=500.0, rho_l=200.0, alpha=2.5, sigma=-0.1),
+         "sigma must be nonnegative, got -0.1"),
+        (dict(kind="matern", rho=500.0, hardcore_r=0.0),
+         "hard-core distance must be positive, got 0.0"),
+        (dict(kind="packing", rho=-1.0, hardcore_r=math.nan),
+         "hard-core distance must be positive, got nan"),
+        (dict(kind="matern", rho=-1.0, hardcore_r=0.05), "intensity must be positive, got -1.0"),
+        (dict(kind="packing", rho=math.nan, hardcore_r=0.05),
+         "intensity must be positive, got nan"),
+        (dict(kind="matern", rho=2000.0, hardcore_r=0.05),
+         "matern intensity 2000.0 is not achievable at r=0.05: "
+         "rho * (4/3) pi r^3 = 1.047 >= 1"),
+        (dict(kind="matern", rho=math.inf, hardcore_r=0.05),
+         "matern intensity inf is not achievable at r=0.05: rho * (4/3) pi r^3 = inf >= 1"),
+        (dict(kind="packing", rho=1000.0, hardcore_r=0.05),
+         "packing too dense to converge reliably: rho * (4/3) pi r^3 = 0.5236 > 0.5"),
+        (dict(kind="packing", rho=500.0, hardcore_r=math.inf),
+         "packing too dense to converge reliably: rho * (4/3) pi r^3 = inf > 0.5"),
+    ])
+    def test_refuses_values_with_their_messages(self, fields, message):
+        # one message per rule, stated in ModelSpec alone
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            ModelSpec(**fields)
+
+    def test_refuses_infinite_intensity_over_a_vanishing_ball(self):
+        # r^3 underflows to 0, so rho * (4/3) pi r^3 is nan
+        with pytest.raises(ValueError, match="^matern intensity inf is not achievable"):
+            ModelSpec.matern(math.inf, 1e-110)
+
+    @pytest.mark.parametrize("generate, model", [
+        (simulate_poisson, ModelSpec.poisson(500.0)),
+        (simulate_plcpp, PLCPP),
+        (simulate_matern, MATERN),
+        (simulate_packing, PACKING),
+    ], ids=["poisson", "plcpp", "matern", "packing"])
+    def test_generators_refuse_other_kinds_and_compression(self, generate, model):
+        other = PLCPP if model.kind != "plcpp" else MATERN
+        with pytest.raises(ValueError, match=f"^expected a {model.kind} model, "
+                           f"got kind='{other.kind}'$"):
+            generate(other, unit_cube(), 1)
+        # only simulate_model compresses, so that no direct call drops a compression
+        with pytest.raises(ValueError, match=f"^simulate_{model.kind} takes an uncompressed "
+                           "model; simulate_model applies compress_c=0.7$"):
+            generate(model.compressed(0.7), unit_cube(), 1)
 
     def test_describe_echoes_parameters(self):
         model = ModelSpec.plcpp(500.0, 200.0, 0.01).compressed(0.9)
