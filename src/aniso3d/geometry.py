@@ -92,7 +92,7 @@ def _as_points(points) -> np.ndarray:
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 3:
         raise ValueError(f"points must be an (n, 3) array, got shape {pts.shape}")
-    if not np.all(np.isfinite(pts)):
+    if not np.isfinite(pts).all():
         raise ValueError("point coordinates must be finite (no nan or inf)")
     return pts
 
@@ -280,12 +280,17 @@ def close_pairs(points, r: float, sides=None) -> tuple[np.ndarray, np.ndarray]:
     Points are binned into xy columns at least ``r`` wide and sorted by
     column and z.  Each point meets the points after it in its own column
     and the points of the four half-shell neighbour columns whose z lies
-    within ``r`` of its own (under periodicity, also across the z
-    boundary); one ``searchsorted`` over the (column, z rank) keys finds
-    all those ranges.  The candidates of the ranges are expanded and
-    filtered by the exact rule above `_CANDIDATE_CHUNK` at a time, and only
-    the keys of the pairs found are kept, in the dtype of `_close_pair_keys`,
-    and sorted once.  The index arrays are ``int64`` whatever that dtype.
+    within ``r`` of its own.  Under periodicity the z-ranges wrapped across
+    the z faces are searched only by the points that can have a pair
+    there: a point whose z lies within ``r`` of the highest z less the z
+    side searches the range wrapped above, in its own and the neighbour
+    columns, and a point within ``r`` of the lowest z plus the z side the
+    range wrapped below, in the neighbour columns.  One ``searchsorted``
+    over the (column, z rank) keys finds all those ranges.  The candidates
+    of the ranges are expanded and filtered by the exact rule above
+    `_CANDIDATE_CHUNK` at a time, and only the keys of the pairs found are
+    kept, in the dtype of `_close_pair_keys`, and sorted once.  The index
+    arrays are ``int64`` whatever that dtype.
     """
     # widened before the division: a mixed-dtype divmod would cast through
     # scratch buffers, which raise a small process's peak memory
@@ -311,9 +316,9 @@ def _close_pair_keys(points, r: float, sides=None) -> np.ndarray:
         span = pts[:, :2].max(axis=0) - lo
     else:
         sides = np.asarray(sides, dtype=float)
-        if sides.shape != (3,) or not np.all(sides > 0.0):
+        if sides.shape != (3,) or not (sides > 0.0).all():
             raise ValueError(f"periodic sides must be a positive 3-vector, got {sides}")
-        if not (np.all(pts >= 0.0) and np.all(pts < sides)):
+        if not ((pts >= 0.0).all() and (pts < sides).all()):
             raise ValueError("periodic points must lie in [0, sides)")
         lo, span = np.zeros(2), sides[:2]
         scale = max(scale, float(sides.max()))
@@ -336,51 +341,69 @@ def _close_pair_keys(points, r: float, sides=None) -> np.ndarray:
     zs = pts[zorder, 2]
     zrank = np.empty(n, np.int64)
     zrank[zorder] = np.arange(n)
-    key = (cxy[0] * ncol[1] + cxy[1]) * n + zrank
+    column = cxy[0] * ncol[1] + cxy[1]
+    key = column * n + zrank
     order = np.argsort(key)
     key = key[order]
-    cx, cy, zrank = cxy[0][order], cxy[1][order], zrank[order]
+    column, zrank = column[order], zrank[order]
     xs, ys, zp = (pts[order, k] for k in range(3))
 
-    # rank ranges [a, b) of the z within reach: the direct one and, periodically,
-    # the ones wrapped below and above, clipped so that the three never overlap;
-    # searched for the sorted z, whose needles come in order
+    # rank ranges [a, b) of the z within reach, searched for the sorted z, whose
+    # needles come in order
     a = np.searchsorted(zs, zs - reach, side="left")[zrank]
     b = np.searchsorted(zs, zs + reach, side="right")[zrank]
-    ranks = [(a, b)]
-    if sides is not None:
-        below = np.searchsorted(zs, zs + (reach - sides[2]), side="right")[zrank]
-        above = np.searchsorted(zs, zs - (reach - sides[2]), side="left")[zrank]
-        ranks += [(0, np.minimum(below, a)), (np.maximum(above, b), n)]
+    # the columns each column searches, times n, one row each: its own, then
+    # its half-shell neighbours; and those of each point
+    shell = np.array([(0, 0)] + [(ox, oy) for ox, oy in _HALF_SHELL
+                                 if not ((ox and ncol[0] == 1) or (oy and ncol[1] == 1))])
+    gx, gy = np.divmod(np.arange(ncol[0] * ncol[1]), ncol[1])
+    nx, ny = gx + shell[:, :1], gy + shell[:, 1:]
+    if sides is None:
+        valid = (nx >= 0) & (nx < ncol[0]) & (ny < ncol[1])
+        searched = np.where(valid, nx * ncol[1] + ny, -1) * n  # -1: empty range
+    else:
+        searched = ((nx % ncol[0]) * ncol[1] + ny % ncol[1]) * n
+    columns = searched.take(column, axis=1)
 
-    columns = [cx * ncol[1] + cy]
-    for ox, oy in _HALF_SHELL:
-        if (ox and ncol[0] == 1) or (oy and ncol[1] == 1):
-            continue
-        nx, ny = cx + ox, cy + oy
-        if sides is None:
-            valid = (nx >= 0) & (nx < ncol[0]) & (ny < ncol[1])
-            columns.append(np.where(valid, nx * ncol[1] + ny, -1))  # -1: empty range
-        else:
-            columns.append((nx % ncol[0]) * ncol[1] + ny % ncol[1])
-    lo_keys = [c * n + ra for c in columns for ra, _ in ranks]
-    hi_keys = [c * n + rb for c in columns for _, rb in ranks]
-    bounds = np.searchsorted(key, np.concatenate(lo_keys + hi_keys))
-    start, end = np.split(bounds, 2)
-    # own column: only the points after this one, so each pair is met once
-    own = n * len(ranks)
-    start[:own] = np.maximum(start[:own], np.tile(np.arange(1, n + 1), len(ranks)))
-    counts = np.maximum(end - start, 0)
-    # candidate c of range s, which belongs to point s % n, is point c - shift[s]
+    # the key ranges searched, each owned by one point: its direct range in
+    # each column, of which the own column's holds only the points after it,
+    # so that each pair is met once
+    everyone = np.arange(n)
+    owners = [everyone] * len(columns)
+    lo_keys, hi_keys = [columns + a], [columns + b]
+    lo_keys[0][0] = columns[0] + zrank + 1
+    if sides is not None:
+        # periodically also the ranges wrapped above and below, clipped so that
+        # the three never overlap, for the points whose needle lies within the
+        # sorted z: the ranks before ``bottom`` and from ``top`` on.  A range
+        # wrapped below holds only points of lower rank, none in the own column
+        rank_owner = np.empty(n, np.int64)
+        rank_owner[zrank] = everyone
+        down, up = zs - (reach - sides[2]), zs + (reach - sides[2])
+        bottom, top = np.searchsorted(down, zs[-1], side="right"), np.searchsorted(up, zs[0])
+        above, below = rank_owner[:bottom], rank_owner[top:]
+        wrapped = columns[:, above]
+        lo_keys.append(wrapped + np.maximum(np.searchsorted(zs, down[:bottom]), b[above]))
+        hi_keys.append(wrapped + n)
+        wrapped = columns[1:, below]
+        lo_keys.append(wrapped)
+        hi_keys.append(wrapped + np.minimum(np.searchsorted(zs, up[top:], side="right"),
+                                            a[below]))
+        owners += [above] * len(columns) + [below] * (len(columns) - 1)
+    owner = np.concatenate(owners)
+    start, end = np.split(np.searchsorted(key, np.concatenate(lo_keys + hi_keys, axis=None)), 2)
+    counts = end - start  # no range has its lower key above its upper one
+    # candidate c of range s, which belongs to point owner[s], is point c - shift[s]
     ends = np.cumsum(counts)
-    shift = ends - counts - start
+    begins = ends - counts
+    shift = begins - start
     total = int(ends[-1])
     pieces = [np.empty(0, key_dtype)]
     for c0 in range(0, total, _CANDIDATE_CHUNK):
         c1 = min(c0 + _CANDIDATE_CHUNK, total)
         s0, s1 = np.searchsorted(ends, (c0, c1 - 1), side="right")
-        taken = np.diff(np.minimum(ends[s0:s1 + 1], c1), prepend=c0)
-        p = np.repeat(np.arange(s0, s1 + 1) % n, taken)
+        taken = np.minimum(ends[s0:s1 + 1], c1) - np.maximum(begins[s0:s1 + 1], c0)
+        p = np.repeat(owner[s0:s1 + 1], taken)
         q = np.arange(c0, c1) - np.repeat(shift[s0:s1 + 1], taken)
         sq = None
         for k, c in enumerate((xs, ys, zp)):

@@ -155,7 +155,8 @@ class ModelSpec:
             # an infinite rho is left to the hard-core models' density bounds below
             if not (0.0 < rho < math.inf or rho == math.inf and r is not None):
                 raise ValueError(f"intensity must be positive, got {rho}")
-            fill = None if r is None else rho * (_BALL * r**3)
+            # a product, not r**3, which raises OverflowError where the cube overflows
+            fill = None if r is None else rho * (_BALL * (r * r * r))
             if self.kind == "matern" and not fill < 1.0:
                 raise ValueError(
                     f"matern intensity {rho} is not achievable at r={r}: "
@@ -342,6 +343,11 @@ def simulate_matern(model: ModelSpec, window: BoxWindow, seed) -> PointPattern:
     return PointPattern(pts[window.contains(pts)], window)
 
 
+# the packer's neighbour-list skin, in ball diameters: a wider skin means fewer
+# list builds but more listed pairs per sweep; it changes no output bit
+_SKIN = 0.45
+
+
 def simulate_packing(
     model: ModelSpec, window: BoxWindow, seed, max_sweeps: int = 100_000
 ) -> PointPattern:
@@ -355,10 +361,10 @@ def simulate_packing(
     than ``2 r``.
 
     Overlapping pairs are found in a neighbour list of the pairs within
-    the current diameter plus a skin of ``0.6 r``.  Each sweep adds its
-    pushes to an unwrapped ``drift`` of every center since the last build;
-    the list is rebuilt once twice the largest drift could close the gap
-    between the list's reach and the current diameter.  Every sweep
+    the current diameter plus a skin of ``0.9 r`` (`_SKIN`).  Each sweep
+    adds its pushes to an unwrapped ``drift`` of every center since the last
+    build; the list is rebuilt once twice the largest drift could close the
+    gap between the list's reach and the current diameter.  Every sweep
     therefore pushes exactly the pairs, in the canonical ``(i, j)`` order,
     that a fresh periodic query would return, and when the list is rebuilt
     changes no output bit.  The centers are kept component-major, as a
@@ -377,9 +383,11 @@ def simulate_packing(
         # stall a rounding error short of the hard-core distance
         goal = target * (1.0 + 1e-6)
         floor = 1e-3 * (goal - target)
-        skin = 0.3 * target
+        skin = _SKIN * target
         d_cur = 0.8 * goal
         drift = np.zeros_like(pos)
+        # component k of point p is bin k*n + p of one bincount
+        offsets = np.arange(0, 3 * n, n)[:, None, None]
         reach = 0.0  # no neighbour list yet: the first sweep builds one
         for _ in range(max_sweeps):
             # a pair now closer than d_cur was closer than d_cur + 2 max|drift|
@@ -391,35 +399,37 @@ def simulate_packing(
             if room <= 0.0 or 4.0 * ((sq[0] + sq[1]) + sq[2]).max() >= room * room:
                 reach = d_cur + skin
                 near_i, near_j = close_pairs(pos.T, reach, sides)
+                # the bins of each listed pair, by component, end (i or j) and pair
+                near_bins = np.stack([near_i, near_j]) + offsets
                 drift[:] = 0.0
             delta, dist = _separation(pos.take(near_i, axis=1),
                                       pos.take(near_j, axis=1), sides)
-            hit = np.flatnonzero(dist < d_cur)
+            hit = (dist < d_cur).nonzero()[0]
             if len(hit) == 0:
                 if d_cur >= goal:
                     break
                 d_cur = min(goal, 1.25 * d_cur)
                 continue
-            i, j = near_i.take(hit), near_j.take(hit)
             delta, dist = delta.take(hit, axis=1), dist.take(hit)
             # coincident centers (distance 0, always a hit) part along x
-            coincident = dist == 0.0
-            if np.any(coincident):
+            if not dist.all():
+                coincident = dist == 0.0
                 delta[:, coincident] = [[1e-9 * target], [0.0], [0.0]]
                 dist[coincident] = 1e-9 * target
             # overshoot so resolved pairs end up strictly clear
             push = (0.55 * (d_cur - dist) + floor) / dist * delta
-            # one pass over i then j sums each point's pushes in np.add.at order;
-            # component k of point p is bin k*n + p of one bincount
-            ends = np.concatenate([i, j])
+            # one pass over i then j sums each point's pushes in np.add.at order
             weights = np.concatenate([-push, push], axis=1)
-            bins = np.concatenate([ends, ends + n, ends + 2 * n])
-            shift = np.bincount(bins, weights.ravel(), 3 * n).reshape(3, n)
+            bins = near_bins.take(hit, axis=2)
+            shift = np.bincount(bins.ravel(), weights.ravel(), 3 * n).reshape(3, n)
             pos += shift
             drift += shift
-            # a center inside [0, side) is its own remainder
-            np.remainder(pos, col, out=pos, where=(pos < 0.0) | (pos >= col))
-            pos[pos >= col] = 0.0  # % can round up to the boundary
+            # a center inside [0, side) is its own remainder, so only a sweep that
+            # pushes one out wraps
+            outside = (pos < 0.0) | (pos >= col)
+            if outside.any():
+                np.remainder(pos, col, out=pos, where=outside)
+                pos[pos >= col] = 0.0  # % can round up to the boundary
             d_cur = min(goal, 1.05 * d_cur)
         achieved = _min_periodic_distance(pos, sides, target)
         if achieved < target:

@@ -382,6 +382,19 @@ class TestSimulateCommand:
         assert code == 1
         assert "dense" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("model", ["matern", "packing"])
+    def test_huge_hard_core_radius_is_refused(self, tmp_path, capsys, model):
+        # the radius cubed overflows a float
+        code = run_cli("simulate", "--model", model, "--rho", "500", "--hardcore-r", "1e200",
+                       "--m", "1", "--out", tmp_path / "x")
+        assert code == 1
+        assert capsys.readouterr().err == {
+            "matern": "error: matern intensity 500.0 is not achievable at r=1e+200: "
+                      "rho * (4/3) pi r^3 = inf >= 1\n",
+            "packing": "error: packing too dense to converge reliably: "
+                       "rho * (4/3) pi r^3 = inf > 0.5\n"}[model]
+        assert not (tmp_path / "x").exists()
+
     def test_non_converging_packing_names_replicate(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(simulate, "simulate_packing",
                             partial(simulate.simulate_packing, max_sweeps=1))

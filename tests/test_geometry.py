@@ -351,6 +351,29 @@ def pair_cases(draw):
     return pts, r, sides if periodic else None
 
 
+@st.composite
+def z_face_cases(draw):
+    """Periodic point sets crowded within reach of the z faces, where the
+    wrapped z-ranges are non-empty, with radii near and past half a side."""
+    sides = np.array(draw(st.lists(st.sampled_from([0.5, 1.0, 3.0]), min_size=3, max_size=3)))
+    half = 0.5 * draw(st.sampled_from([sides[2], sides.min()]))
+    r = draw(st.one_of(
+        st.sampled_from([half, np.nextafter(half, 0.0), np.nextafter(half, 4.0 * half)]),
+        st.floats(0.8 * half, 1.2 * half),
+        st.floats(0.0, 3.0 * half),
+    ))
+    n = draw(st.integers(2, 40))
+    xy = draw(arrays(np.float64, (n, 2), elements=st.floats(0.0, 1.0, exclude_max=True)))
+    # the distance from the bottom or the top face, within reach of it and on
+    # its edge, with ties
+    depth = draw(arrays(np.float64, n, elements=st.one_of(st.sampled_from([0.0, 0.5, 1.0]),
+                                                          st.floats(0.0, 1.0))))
+    depth *= min(r * (1.0 + 1e-9), sides[2])
+    z = np.where(draw(arrays(np.bool_, n)), sides[2] - depth, depth)
+    pts = np.minimum(np.column_stack([xy * sides[:2], z]), np.nextafter(sides, 0.0))
+    return pts, r, sides
+
+
 class TestClosePairs:
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(pair_cases())
@@ -364,6 +387,18 @@ class TestClosePairs:
     def test_candidate_chunks_match_brute_force(self, chunk, case):
         """Chunks cut the candidate ranges anywhere, down to one candidate
         each; every pair still comes once and in key order."""
+        pts, r, sides = case
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(geometry, "_CANDIDATE_CHUNK", chunk)
+            got = close_pairs(pts, r, sides)
+        assert_same_pairs(got, brute_pairs(pts, r, sides))
+
+    @pytest.mark.parametrize("chunk", [1, 7, 64])
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(case=z_face_cases())
+    def test_points_near_the_z_faces_match_brute_force(self, chunk, case):
+        """The wrapped z-ranges, formed only for points within reach of a z
+        face, find every pair across the faces."""
         pts, r, sides = case
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(geometry, "_CANDIDATE_CHUNK", chunk)

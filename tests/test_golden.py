@@ -16,6 +16,8 @@ from aniso3d.cli import main
 PLCPP = ["--model", "plcpp", "--rho", "500", "--rho-l", "200", "--sigma", "0.001"]
 PACKING = ["--model", "packing", "--rho", "500", "--hardcore-r", "0.05", "--compress-c", "0.7"]
 MATERN = ["--model", "matern", "--rho", "500", "--hardcore-r", "0.05", "--compress-c", "0.7"]
+POISSON = ["--model", "poisson", "--rho", "500"]
+UNCOMPRESSED_MATERN = ["--model", "matern", "--rho", "500", "--hardcore-r", "0.05"]
 
 
 def run_here(path, monkeypatch, *argv):
@@ -59,6 +61,19 @@ def test_campaign_files_with_one_worker(tmp_path, monkeypatch):
     run_here(tmp_path, monkeypatch, "simulate", *MATERN, "--m", "60", "--seed", "20161",
              "--out", "campaign", "--threads", "1")
     assert directory_sha256(tmp_path / "campaign") == CAMPAIGN_SHA256
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("model, digest", [
+    (POISSON, "fe66b53d899cec17f95f29b11861ca57030ec816c43c9c632afb67353f990d00"),
+    (UNCOMPRESSED_MATERN, "5138ec756e385cbbb99ea6720eaa7017a2737c705fb7c3222bd75fbf7fb4d88d"),
+], ids=["poisson", "uncompressed-matern"])
+def test_small_campaign_files(tmp_path, monkeypatch, model, digest, threads):
+    # the only golden outputs of the Poisson simulator and of the Matérn draws
+    # without compression
+    run_here(tmp_path, monkeypatch, "simulate", *model, "--m", "8", "--seed", "20161",
+             "--out", "campaign", "--threads", threads)
+    assert directory_sha256(tmp_path / "campaign") == digest
 
 
 def test_columnar_sweep_power(tmp_path, monkeypatch):

@@ -317,6 +317,16 @@ class TestPacking:
         expected = reference_packing(spec, window, seed)
         npt.assert_array_equal(simulate_packing(spec, window, seed).points, expected)
 
+    @pytest.mark.parametrize("skin", [0.3, 0.45, 0.8])
+    @pytest.mark.parametrize("sides, seed", [((1.0, 1.0, 1.0), (50, 0)),
+                                             ((1.0, 0.8, 1.25), 51)])
+    def test_skin_changes_no_bit(self, monkeypatch, skin, sides, seed):
+        # the skin sets how often the neighbour list is built, not what a sweep pushes
+        monkeypatch.setattr(simulate, "_SKIN", skin)
+        window = BoxWindow(np.zeros(3), np.array(sides))
+        npt.assert_array_equal(simulate_packing(PACKING, window, seed).points,
+                               reference_packing(PACKING, window, seed))
+
     def test_coincident_centres_match_reference(self, monkeypatch):
         # random draws never coincide, so a stub stream places the centres:
         # a cluster of overlapping balls with two equal rows
@@ -459,6 +469,13 @@ class TestModelSpec:
         (dict(kind="packing", rho=1000.0, hardcore_r=0.05),
          "packing too dense to converge reliably: rho * (4/3) pi r^3 = 0.5236 > 0.5"),
         (dict(kind="packing", rho=500.0, hardcore_r=math.inf),
+         "packing too dense to converge reliably: rho * (4/3) pi r^3 = inf > 0.5"),
+        # radii whose cube overflows a float
+        (dict(kind="matern", rho=500.0, hardcore_r=1e200),
+         "matern intensity 500.0 is not achievable at r=1e+200: rho * (4/3) pi r^3 = inf >= 1"),
+        (dict(kind="matern", rho=500.0, hardcore_r=1e103),
+         "matern intensity 500.0 is not achievable at r=1e+103: rho * (4/3) pi r^3 = inf >= 1"),
+        (dict(kind="packing", rho=500.0, hardcore_r=1e200),
          "packing too dense to converge reliably: rho * (4/3) pi r^3 = inf > 0.5"),
     ])
     def test_refuses_values_with_their_messages(self, fields, message):
