@@ -42,7 +42,6 @@ from .estimate import (
     default_r_grid,
     intensity_sq_hat,
     k_profile,
-    pattern_pairs,
     pooled_profile,
     translation_weight,
 )
@@ -83,7 +82,6 @@ __all__ = [
     "equal_volume_link",
     "intensity_sq_hat",
     "k_profile",
-    "pattern_pairs",
     "pooled_profile",
     "power_curve_from_patterns",
     "replicate_rng",

@@ -23,7 +23,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .estimate import check_r_max, check_window_scale, default_r_grid, pooled_k
+from .estimate import check_grid_step, check_r_max, check_window_scale, default_r_grid, pooled_k
 from .estimate import pooled_profile  # unused; perfbench/tracecli.py wraps this name
 from .geometry import X_AXIS, Y_AXIS, Z_AXIS
 from .isotest import TestConfig, check_sweep, power_curve_from_patterns
@@ -305,6 +305,7 @@ def cmd_estimate(args, config) -> None:
         grid = default_r_grid(window, a, n_grid)
     else:
         check_r_max(window, a, r_max, "--r-max")
+        check_grid_step(r_max, n_grid, "--r-max")
         grid = np.linspace(0.0, r_max, n_grid)
     r_max = float(grid[-1])  # linspace writes its endpoint exactly
 
@@ -410,7 +411,7 @@ def main(argv=None) -> int:
     try:
         config = load_config(args.config) if args.config else {}
         _COMMANDS[args.command](args, config)
-    except (ValueError, RuntimeError, OSError) as exc:
+    except (ValueError, RuntimeError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return 0

@@ -6,13 +6,14 @@ structuring element ``E`` along direction ``u`` is::
     K_hat = (1 / rho2_hat) * sum_{x1 != x2} w(x1, x2) * 1[x2 - x1 in E]
 
 with the translation edge weight ``w(x1, x2) = 1 / |W ∩ W_{x2-x1}|`` and
-``rho2_hat = n (n - 1) / |W|^2``.  Profiles over a grid of cylinder radii
-use the fixed-aspect-ratio link: at radius ``r`` the cylinder is
-``(r, a r)`` and the cone ``(r sqrt(a^2+1), arctan(1/a))``, so every
-ordered pair has a single critical radius at which it enters each
-element.  Sorting pairs into a cumulative histogram of edge weights at
-those critical radii reproduces the direct estimator exactly at every
-grid point, in one pass over the pairs.
+``rho2_hat = n (n - 1) / |W|^2``.  A profile scales an element by each
+radius of a grid, so every ordered pair has a single critical radius at
+which it enters it.  Sorting pairs into a cumulative histogram of edge
+weights at those radii reproduces the direct estimator exactly at every
+grid point, in one pass over the pairs: `_numerators`, the one definition
+of K.  `conical_k` and `cylindrical_k` are its one-element case on the grid
+[1]; the profiles use the equal-shape link, at radius ``r`` the cylinder
+``(r, a r)`` and the cone ``(r sqrt(a^2+1), arctan(1/a))``.
 """
 
 import math
@@ -26,6 +27,7 @@ from . import _parallel
 from .geometry import (
     ConeParams,
     CylinderParams,
+    _axial_radial,
     _close_pair_keys,
     _cone_mask,
     _cylinder_mask,
@@ -45,7 +47,6 @@ __all__ = [
     "k_profile",
     "pooled_profile",
     "default_r_grid",
-    "pattern_pairs",
     "PatternPairs",
 ]
 
@@ -100,12 +101,19 @@ def translation_weight(window: BoxWindow, t) -> float:
     the window side, where the overlap degenerates.
     """
     t = np.asarray(t, dtype=float)
-    clearance = window.sides - np.abs(t)
-    if not np.all(clearance > 0.0):
-        raise ValueError(
-            f"displacement {t} is not realizable inside window sides {window.sides}"
-        )
-    return float(1.0 / np.prod(clearance))
+    if not np.all(window.sides - np.abs(t) > 0.0):
+        raise ValueError(f"displacement {t} is not realizable inside window sides {window.sides}")
+    return float(_weights(window.sides, t[None])[0])
+
+
+def _weights(sides, vec: np.ndarray) -> np.ndarray:
+    """The translation weights of the (n, 3) displacements ``vec``:
+    ``1 / (((sx - |dx|) * (sy - |dy|)) * (sz - |dz|))``, the order in which
+    ``np.prod(axis=1)`` multiplies, formed one coordinate at a time."""
+    weight = sides[0] - np.abs(vec[:, 0])
+    for k in (1, 2):
+        weight *= sides[k] - np.abs(vec[:, k])
+    return np.divide(1.0, weight, out=weight)
 
 
 def intensity_sq_hat(pattern: PointPattern) -> float:
@@ -120,13 +128,11 @@ def intensity_sq_hat(pattern: PointPattern) -> float:
 
 @dataclass(frozen=True)
 class PatternPairs:
-    """Precomputed geometry of all point pairs within a search extent.
+    """Precomputed geometry of point pairs within a search extent.
 
     Holds one row per unordered pair (the estimators double it for the
-    two orders), all pairs at once: `conical_k`, `cylindrical_k` and
-    `pair_numerators` take it whole.  Replicated campaigns go through
-    `replicate_numerators`, which forms these rows a bounded slice of pair
-    keys at a time.
+    two orders) of one slice of pair keys: `_numerators` takes the rows
+    `_PAIR_BUDGET` pairs at a time.
     """
 
     vec: np.ndarray      # displacements x_j - x_i, points in lexicographic order
@@ -138,7 +144,8 @@ def pattern_pairs(pattern: PointPattern, extent: float) -> PatternPairs:
     """All unordered point pairs of ``pattern`` closer than ``extent``.
 
     ``extent`` must stay below the smallest window side so that every
-    collected displacement has a valid translation weight.
+    collected displacement has a valid translation weight.  No estimator
+    calls it; `pair_numerators` takes its rows.
     """
     pts, keys = _pair_keys(pattern, extent)
     return _pair_rows(pattern.window, pts, keys)
@@ -146,15 +153,13 @@ def pattern_pairs(pattern: PointPattern, extent: float) -> PatternPairs:
 
 def _pair_keys(pattern: PointPattern, extent: float):
     """The points in lexicographic order and the ascending keys ``i * n + j``
-    of their pairs closer than ``extent``, as `pattern_pairs` takes them; the
+    of their pairs closer than ``extent``, in the order `_pair_rows` takes them; the
     keys are ``uint32`` up to 65536 points and ``int64`` beyond, as
     `_close_pair_keys` gives them."""
     min_side = float(np.min(pattern.window.sides))
     if extent >= min_side:
-        raise ValueError(
-            f"search extent {extent:.6g} must be smaller than the smallest "
-            f"window side {min_side:.6g}"
-        )
+        raise ValueError(f"search extent {extent:.6g} must be smaller than the smallest "
+                         f"window side {min_side:.6g}")
     pts = pattern.points
     pts = pts[np.lexsort((pts[:, 2], pts[:, 1], pts[:, 0]))]
     return pts, _close_pair_keys(pts, extent)
@@ -165,46 +170,34 @@ def _pair_rows(window: BoxWindow, pts: np.ndarray, keys: np.ndarray) -> PatternP
     i, j = np.divmod(keys, len(pts))
     vec = pts.take(j, axis=0)
     vec -= pts.take(i, axis=0)
-    # ``1 / (((sx - |dx|) * (sy - |dy|)) * (sz - |dz|))``, the order in which
-    # ``np.prod(axis=1)`` multiplies, formed one coordinate at a time
-    weight = window.sides[0] - np.abs(vec[:, 0])
-    for k in (1, 2):
-        weight *= window.sides[k] - np.abs(vec[:, k])
-    np.divide(1.0, weight, out=weight)
-    return PatternPairs(vec, _norms(vec), weight)
+    return PatternPairs(vec, _norms(vec), _weights(window.sides, vec))
 
 
-def _axial_radial(pairs: PatternPairs, u: np.ndarray):
-    axial = pairs.vec @ u
-    # the norms of the offsets ``vec - np.multiply.outer(axial, u)`` from the
-    # axis, ``sqrt((ox*ox + oy*oy) + oz*oz)`` as `_norms` sums them, formed one
-    # coordinate at a time
-    sq = None
-    for k in range(3):
-        o = pairs.vec[:, k] - u[k] * axial
-        o *= o
-        sq = o if sq is None else np.add(sq, o, out=sq)
-    return np.abs(axial), np.sqrt(sq, out=sq)
+def _pair_slices(pattern: PointPattern, extent: float):
+    """The pairs of `_pair_keys`, found at once, as `_pair_rows` formed
+    `_PAIR_BUDGET` pairs at a time."""
+    pts, keys = _pair_keys(pattern, extent)
+    return (_pair_rows(pattern.window, pts, keys[start:start + _PAIR_BUDGET])
+            for start in range(0, keys.size, _PAIR_BUDGET))
 
 
 def conical_k(pattern: PointPattern, u, cone: ConeParams) -> float:
     """Conical K estimate for one direction and one cone."""
-    u = as_direction(u)
-    rho2 = intensity_sq_hat(pattern)
-    pairs = pattern_pairs(pattern, cone.r_cn * (1.0 + 1e-9))
-    axial_abs, _ = _axial_radial(pairs, u)
-    mask = _cone_mask(pairs.norm, axial_abs, cone.r_cn, cone.cos_theta)
-    return 2.0 * float(np.sum(pairs.weight[mask])) / rho2
+    return _element_k(pattern, u, cone, cone.r_cn)
 
 
 def cylindrical_k(pattern: PointPattern, u, cyl: CylinderParams) -> float:
     """Cylindrical K estimate for one direction and one cylinder."""
+    return _element_k(pattern, u, cyl, math.hypot(cyl.r_cl, cyl.h))
+
+
+def _element_k(pattern: PointPattern, u, element, reach: float) -> float:
+    """K of one element along ``u``: the one cell of `_numerators` on the grid
+    [1], over the pairs within ``reach`` and a sliver of slack."""
     u = as_direction(u)
     rho2 = intensity_sq_hat(pattern)
-    pairs = pattern_pairs(pattern, math.hypot(cyl.r_cl, cyl.h) * (1.0 + 1e-9))
-    axial_abs, radial = _axial_radial(pairs, u)
-    mask = _cylinder_mask(axial_abs, radial, cyl.r_cl, cyl.h)
-    return 2.0 * float(np.sum(pairs.weight[mask])) / rho2
+    slices = _pair_slices(pattern, reach * (1.0 + 1e-9))
+    return float(_numerators(slices, [u], [element], [1.0])[0, 0, 0]) / rho2
 
 
 def _check_grid(r_grid) -> np.ndarray:
@@ -246,6 +239,16 @@ def check_r_max(window: BoxWindow, a: float, r_max: float, what: str) -> None:
             f"{what} < {math.floor(bound / unit) * unit:.6g}"
         )
     check_window_scale(window)
+
+
+def check_grid_step(r_max: float, n: int, what: str) -> None:
+    """Refuse a top radius ``r_max`` whose even grid of ``n`` radii from 0 steps
+    below the normal floats, where `np.linspace` rounds radii out of order,
+    naming it ``what`` with the least admissible one, exact in its repr."""
+    if not r_max / (n - 1) >= sys.float_info.min:  # the step np.linspace forms
+        least = (n - 1) * sys.float_info.min  # a whole multiple of a power of 2: exact
+        raise ValueError(f"{what} {r_max:.6g} is too small for a grid of {n} radii: its "
+                         f"step must stay a normal float, so choose {what} >= {least!r}")
 
 
 def check_window_scale(window: BoxWindow) -> None:
@@ -295,69 +298,75 @@ def _grid_index(grid: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 
 def pair_numerators(pairs: PatternPairs, directions, kinds, r_grid, aspects) -> np.ndarray:
-    """Cumulative edge-weighted ordered-pair counts along the grid.
-
-    Returns an array of shape (aspect, kind, direction, radius).  For each
-    pair and element the smallest grid index whose element contains it is
-    found from its critical radius by `_grid_index`, an exact
-    constant-time ``searchsorted`` on evenly spaced grids; accumulating
-    ``2 * weight`` there and taking the running sum yields, at every grid
-    point, exactly the direct double-sum numerator of the estimator.  This
-    is `_numerators` of one slice of pairs.  ``pairs`` must reach
-    `profile_extent` of the largest aspect, and ``kinds`` must pass
-    `check_kinds`.
-    """
-    return _numerators([pairs], directions, kinds, r_grid, aspects)
+    """`_linked_numerators` of one slice of pairs, which must reach
+    `profile_extent` of the largest aspect."""
+    return _linked_numerators([pairs], directions, kinds, r_grid, aspects)
 
 
-def _numerators(slices, directions, kinds, r_grid, aspects) -> np.ndarray:
-    """`pair_numerators` of the pairs of every `PatternPairs` in ``slices``,
-    taken in turn.
+def _linked_numerators(slices, directions, kinds, r_grid, aspects) -> np.ndarray:
+    """`_numerators` of the radius-1 `equal_shape_link` elements of every
+    aspect and kind (which must pass `check_kinds`), in shape (aspect, kind,
+    direction, radius)."""
+    links = [dict(zip(("cylindrical", "conical"), equal_shape_link(1.0, a))) for a in aspects]
+    numerators = _numerators(slices, directions, [link[kind] for link in links for kind in kinds],
+                             r_grid)
+    return numerators.reshape(len(aspects), len(kinds), *numerators.shape[1:])
 
-    The axial and radial parts of a slice's pairs are formed once per
-    direction.  Then the pairs outside the union of the largest elements at
-    the top radius (the cone of the largest slant factor and the smallest
-    ``cos_theta``, the cylinder of the largest aspect) are dropped once,
-    and every kind and aspect works on the rest, in pair order, along with
-    one radial grid index.  Each element's bounds are float products
-    monotone in its slant factor, ``cos_theta`` and aspect, so the union
-    holds every pair of every element.  ``np.add.at`` adds each slice's
-    weights into one running (aspect, kind, direction, radius) array, bin by
-    bin in pair order as one ``bincount`` over all the pairs would, and one
-    running sum along the radii ends it: neither the compaction nor the
+
+def _numerators(slices, directions, elements, r_grid) -> np.ndarray:
+    """The one definition of K's numerator: the cumulative edge-weighted
+    ordered-pair counts, in shape (element, direction, radius), of the pairs
+    of the `PatternPairs` in ``slices``, which reach every element at the top
+    radius.  An element is a `ConeParams` or `CylinderParams` at radius 1,
+    scaled by each grid radius r to slant ``r * r_cn`` or to radius
+    ``r * r_cl`` and half height ``r * h``.
+
+    Each pair's smallest grid index whose element contains it comes from its
+    critical radius by `_grid_index`, an exact ``searchsorted``; adding
+    ``2 * weight`` there and one running sum along the radii give, at every
+    grid point, exactly the direct double sum of the estimator.  A slice's
+    axial and radial parts are formed once per direction, and its pairs
+    outside the union of the elements at the top radius (the cone of the
+    largest ``r_cn`` and smallest ``cos_theta``, the cylinder of the largest
+    ``r_cl`` and ``h``) are dropped once; every element's bounds are float
+    products monotone in its sizes, so the union holds all of its pairs.  One
+    radial grid index serves each distinct ``r_cl``.  ``np.add.at`` adds each
+    slice into one running array, bin by bin in pair order as one
+    ``bincount`` over all the pairs would: neither the compaction nor the
     slicing changes a bit.
     """
     directions = [as_direction(u) for u in directions]
     r_grid = _check_grid(r_grid)
-    acc = np.zeros((len(aspects), len(kinds), len(directions), r_grid.size))
+    acc = np.zeros((len(elements), len(directions), r_grid.size))
     if acc.size == 0:
         return acc
-    links = [(c.r_cn, c.cos_theta) for _, c in (equal_shape_link(1.0, a) for a in aspects)]
     r_max = r_grid[-1]
-    scale_max = max(scale for scale, _ in links)
-    cos_min = min(cos_theta for _, cos_theta in links)
+    cones = [e for e in elements if isinstance(e, ConeParams)]
+    cyls = [e for e in elements if isinstance(e, CylinderParams)]
     for pairs in slices:
         for d, u in enumerate(directions):
-            axial_abs, radial = _axial_radial(pairs, u)
+            axial_abs, radial = _axial_radial(pairs.vec, u)
             union = np.zeros(axial_abs.shape, bool)
-            if "conical" in kinds:
-                union |= _cone_mask(pairs.norm, axial_abs, r_max * scale_max, cos_min)
-            if "cylindrical" in kinds:
-                union |= _cylinder_mask(axial_abs, radial, r_max, max(aspects) * r_max)
+            if cones:
+                union |= _cone_mask(pairs.norm, axial_abs, r_max * max(c.r_cn for c in cones),
+                                    min(c.cos_theta for c in cones))
+            if cyls:
+                union |= _cylinder_mask(axial_abs, radial, r_max * max(c.r_cl for c in cyls),
+                                        max(c.h for c in cyls) * r_max)
             near = np.flatnonzero(union)
             axial_abs, radial = axial_abs.take(near), radial.take(near)
             norm, weight = pairs.norm.take(near), 2.0 * pairs.weight.take(near)
-            radial_idx = _grid_index(r_grid, radial) if "cylindrical" in kinds else None
-            for i, (a, (scale, cos_theta)) in enumerate(zip(aspects, links)):
-                for j, kind in enumerate(kinds):
-                    if kind == "conical":
-                        keep = _cone_mask(norm, axial_abs, r_max * scale, cos_theta)
-                        idx = _grid_index(r_grid * scale, norm[keep])
-                    else:
-                        keep = _cylinder_mask(axial_abs, radial, r_max, a * r_max)
-                        idx = np.maximum(_grid_index(a * r_grid, axial_abs[keep]),
-                                         radial_idx[keep])
-                    np.add.at(acc[i, j, d], idx, weight[keep])
+            radial_idx = {r: _grid_index(r_grid * r, radial) for r in {c.r_cl for c in cyls}}
+            for e, element in enumerate(elements):
+                if isinstance(element, ConeParams):
+                    keep = _cone_mask(norm, axial_abs, r_max * element.r_cn, element.cos_theta)
+                    idx = _grid_index(r_grid * element.r_cn, norm[keep])
+                else:
+                    keep = _cylinder_mask(axial_abs, radial, r_max * element.r_cl,
+                                          element.h * r_max)
+                    idx = np.maximum(_grid_index(element.h * r_grid, axial_abs[keep]),
+                                     radial_idx[element.r_cl][keep])
+                np.add.at(acc[e, d], idx, weight[keep])
     return np.cumsum(acc, axis=-1)
 
 
@@ -369,30 +378,20 @@ def replicate_numerators(pattern: PointPattern, directions, kinds, r_grid, aspec
     of the largest aspect, and ``n (n - 1) / |W|^2``, which is 0 for fewer
     than 2 points instead of an error.  The pairs are found once, as sorted
     keys, and formed and added `_PAIR_BUDGET` at a time by `_numerators`,
-    with the same bits as one `pair_numerators` call on `pattern_pairs`.
+    with the same bits as one `pair_numerators` call on all of them.
     Every profile, pool and test statistic reaches the pair layer through
     this function; ``r_grid`` must be nonempty.
     """
-    pts, keys = _pair_keys(pattern, profile_extent(r_grid[-1], max(aspects)))
-    slices = (_pair_rows(pattern.window, pts, keys[start:start + _PAIR_BUDGET])
-              for start in range(0, keys.size, _PAIR_BUDGET))
+    slices = _pair_slices(pattern, profile_extent(r_grid[-1], max(aspects)))
     mass = intensity_sq_hat(pattern) if pattern.n >= 2 else 0.0
-    return _numerators(slices, directions, kinds, r_grid, aspects), mass
+    return _linked_numerators(slices, directions, kinds, r_grid, aspects), mass
 
 
 def k_profile(pattern: PointPattern, u, kind: str, r_grid, a: float) -> KProfile:
-    """Estimate one K-function over a grid of cylinder radii: the pool of
-    one pattern, which needs at least 2 points.
-
-    Parameters
-    ----------
-    pattern : PointPattern
-    u : unit 3-vector, the element axis
-    kind : "conical" or "cylindrical"
-    r_grid : ascending cylinder radii; the derived extent at the largest
-        radius must stay inside the window (smallest side)
-    a : aspect ratio linking the element dimensions to each radius
-    """
+    """Estimate one K-function of ``kind`` along the unit vector ``u`` over
+    ascending cylinder radii ``r_grid``, each linked to its element by the
+    aspect ratio ``a``: the pool of one pattern, which needs at least 2 points.
+    The element's extent at the largest radius must stay inside the window."""
     intensity_sq_hat(pattern)
     return pooled_profile([pattern], u, kind, r_grid, a)
 

@@ -114,29 +114,31 @@ def _cylinder_mask(axial_abs, radial, r_cl, h):
     return (axial_abs <= h) & (radial <= r_cl)
 
 
+def _axial_radial(v, u):
+    """The absolute axial parts ``|<v, u>|`` of displacements ``v`` of shape
+    (..., 3) and their radial parts, the norms of the offsets ``v - <v, u> u``
+    from the axis, ``sqrt((ox*ox + oy*oy) + oz*oz)`` as `_norms` sums them,
+    formed one coordinate at a time."""
+    axial = v @ u
+    sq = None
+    for k in range(3):
+        o = np.asarray(v[..., k] - u[k] * axial)  # 0-d for one vector, to take out=
+        o *= o
+        sq = o if sq is None else np.add(sq, o, out=sq)
+    return np.abs(axial), np.sqrt(sq, out=sq)
+
+
 def cone_contains(cone: ConeParams, u, v):
-    """Test whether displacement(s) ``v`` lie in the double cone along ``u``.
+    """Test whether displacement(s) ``v``, a 3-vector or an (..., 3) stack, lie
+    in the double cone along the unit vector ``u``: a bool or an array of them.
 
-    Parameters
-    ----------
-    cone : ConeParams
-    u : unit 3-vector, the cone axis
-    v : array-like, shape (3,) or (..., 3)
-        displacement vectors to test
-
-    Returns
-    -------
-    bool or ndarray of bool
-        True where ``|v| <= r_cn`` and the angle between ``v`` and the
-        axis (or its negation) is at most ``theta``.  The origin is
-        outside: the angle is undefined there, and distinct point pairs
-        never produce it.
+    True where ``|v| <= r_cn`` and the angle between ``v`` and the axis (or
+    its negation) is at most ``theta``.  The origin is outside: the angle is
+    undefined there, and distinct point pairs never produce it.
     """
     u = as_direction(u)
     v = np.asarray(v, dtype=float)
-    norm_v = _norms(v)
-    axial_abs = np.abs(v @ u)
-    out = _cone_mask(norm_v, axial_abs, cone.r_cn, cone.cos_theta)
+    out = _cone_mask(_norms(v), _axial_radial(v, u)[0], cone.r_cn, cone.cos_theta)
     return bool(out) if np.isscalar(out) or out.ndim == 0 else out
 
 
@@ -148,10 +150,7 @@ def cylinder_contains(cyl: CylinderParams, u, v):
     vector or an (..., 3) stack, like `cone_contains`.
     """
     u = as_direction(u)
-    v = np.asarray(v, dtype=float)
-    axial = v @ u
-    radial = _norms(v - np.multiply.outer(axial, u))
-    out = _cylinder_mask(np.abs(axial), radial, cyl.r_cl, cyl.h)
+    out = _cylinder_mask(*_axial_radial(np.asarray(v, dtype=float), u), cyl.r_cl, cyl.h)
     return bool(out) if np.isscalar(out) or out.ndim == 0 else out
 
 

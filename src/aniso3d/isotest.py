@@ -47,7 +47,7 @@ from functools import partial
 import numpy as np
 
 from ._parallel import parallel_map
-from .estimate import KINDS, check_kinds, check_r_max, replicate_numerators
+from .estimate import KINDS, check_grid_step, check_kinds, check_r_max, replicate_numerators
 from .estimate import pair_numerators  # unused; perfbench/tracecli.py wraps this name
 from .estimate import pattern_pairs  # unused; perfbench/tracecli.py wraps this name
 from .geometry import X_AXIS, Y_AXIS, Z_AXIS
@@ -187,8 +187,8 @@ def _replicate_statistics(pattern, kinds, aspects, r_grid, r1, r2_grid) -> np.nd
 def check_sweep(window, m: int, cfg: TestConfig, r2_grid, kinds, aspects, what: str):
     """The one statement of a sweep's rules, checked before any work: at least
     2 replicates, bounds ascending above ``cfg.r1``, `check_kinds`, a list of
-    aspects holding ``cfg.a``, and `check_r_max` (naming ``what``) at each.
-    Returns the bounds, kinds and aspects as an array, a tuple and a list."""
+    aspects holding ``cfg.a``, and `check_grid_step` and `check_r_max` (naming
+    ``what``).  Returns the bounds, kinds and aspects as an array, a tuple and a list."""
     if m < 2:
         raise ValueError(f"the test needs at least 2 replicates, got {m}")
     r2_grid = np.asarray(r2_grid, dtype=float)
@@ -196,6 +196,7 @@ def check_sweep(window, m: int, cfg: TestConfig, r2_grid, kinds, aspects, what: 
         raise ValueError("r2_grid must be nonempty and strictly ascending")
     if not r2_grid[0] > cfg.r1:
         raise ValueError("every r2 must exceed r1")
+    check_grid_step(r2_grid[-1], cfg.grid_points, what)
     not_a_list = ValueError(f"aspects must be a list of aspect ratios, got {aspects!r}")
     if isinstance(aspects, str) or not np.iterable(aspects):
         raise not_a_list

@@ -508,6 +508,37 @@ class TestEstimateCommand:
         assert run_cli("estimate", "--input", campaign, "--aspect", "2",
                        "--r-max", repr(shown), "--grid", "8", "--out", out) == 0
 
+    def test_refuses_radius_too_small_for_the_grid_before_any_work(self, campaign, tmp_path,
+                                                                   capsys, monkeypatch):
+        # np.linspace(0, 1e-320, 512) steps by a subnormal, so its radii fall
+        # out of order; the refusal names the flag and the smallest admissible radius
+        def unreachable(*args, **kwargs):
+            raise AssertionError("pairs were extracted")
+
+        out = tmp_path / "x.csv"
+        with monkeypatch.context() as patch:
+            patch.setattr("aniso3d.estimate._pair_keys", unreachable)
+            code = run_cli("estimate", "--input", campaign, "--r-max", "1e-320",
+                           "--threads", "1", "--out", out)
+        assert code == 1 and not out.exists()
+        err = capsys.readouterr().err
+        assert err == ("error: --r-max 9.99989e-321 is too small for a grid of 512 radii: "
+                       "its step must stay a normal float, so choose --r-max >= "
+                       "1.1370127416971799e-305\n")
+        assert run_cli("estimate", "--input", campaign, "--r-max", err.rsplit(" ", 1)[1],
+                       "--threads", "1", "--out", out) == 0
+
+    @pytest.mark.parametrize("command, extra", [("estimate", []),
+                                                ("test", ["--r2-grid", "0.05"])])
+    def test_grid_too_large_to_allocate_is_an_error_line(self, campaign, tmp_path, capsys,
+                                                         command, extra):
+        # 1e11 radii ask for 745 GiB, an allocation that fails at once
+        out = tmp_path / "x.csv"
+        code = run_cli(command, "--input", campaign, "--grid", "100000000000", *extra,
+                       "--threads", "1", "--out", out)
+        assert code == 1 and not out.exists()
+        assert capsys.readouterr().err.startswith("error: Unable to allocate 745. GiB ")
+
     def test_default_grid_is_default_r_grid(self, campaign, tmp_path):
         out = tmp_path / "k.csv"
         assert run_cli("estimate", "--input", campaign, "--aspect", "3",
@@ -747,6 +778,24 @@ class TestTestAndPowerCommands:
         err = capsys.readouterr().err
         assert "error: --r2-grid entry 0.447214 is out of range" in err
         assert "choose --r2-grid entry < 0.447213" in err
+
+    def test_test_refuses_r2_too_small_for_the_grid_before_any_work(self, tmp_path, capsys,
+                                                                    monkeypatch):
+        pats = tmp_path / "pats"
+        run_cli("simulate", "--model", "poisson", "--rho", "100", "--m", "2",
+                "--seed", "8", "--out", pats)
+
+        def unreachable(*args, **kwargs):
+            raise AssertionError("pairs were extracted")
+
+        monkeypatch.setattr("aniso3d.estimate._pair_keys", unreachable)
+        out = tmp_path / "test.csv"
+        code = run_cli("test", "--input", pats, "--r2-grid", "1e-320", "--threads", "1",
+                       "--out", out)
+        assert code == 1 and not out.exists()
+        assert capsys.readouterr().err == (
+            "error: --r2-grid entry 9.99989e-321 is too small for a grid of 512 radii: its step "
+            "must stay a normal float, so choose --r2-grid entry >= 1.1370127416971799e-305\n")
 
     def test_power_refuses_r2_before_simulating(self, tmp_path, capsys, monkeypatch):
         # checked against the compressed window: its smallest side is 0.7

@@ -14,7 +14,6 @@ from aniso3d import estimate
 from aniso3d.estimate import (
     KProfile,
     PatternPairs,
-    _axial_radial,
     _grid_index,
     conical_k,
     cylindrical_k,
@@ -34,6 +33,7 @@ from aniso3d.geometry import (
     Z_AXIS,
     ConeParams,
     CylinderParams,
+    _axial_radial,
     _cone_mask,
     _cylinder_mask,
     _norms,
@@ -64,30 +64,28 @@ def cube_of_side(side, unit_pattern):
     return PointPattern(side * unit_pattern.points, BoxWindow(np.zeros(3), np.full(3, side)))
 
 
+def loop_k(pattern, u, element):
+    """K of one element as a plain loop over the ordered pairs, with
+    `cone_contains` or `cylinder_contains` and `translation_weight`."""
+    contains = cone_contains if isinstance(element, ConeParams) else cylinder_contains
+    pts = pattern.points
+    total = 0.0
+    for i in range(len(pts)):
+        for j in range(len(pts)):
+            if i != j and contains(element, u, pts[j] - pts[i]):
+                total += translation_weight(pattern.window, pts[j] - pts[i])
+    return total / intensity_sq_hat(pattern)
+
+
 def brute_profile(pattern, u, kind, r_grid, a):
     """Direct O(n^2 * |grid|) estimate recomputing membership per (pair, r)."""
-    rho2 = intensity_sq_hat(pattern)
-    pts = pattern.points
-    n = len(pts)
     values = []
     for r in r_grid:
         if r == 0.0:
             values.append(0.0)
             continue
         cyl, cone = equal_shape_link(float(r), a)
-        total = 0.0
-        for i in range(n):
-            for j in range(n):
-                if i == j:
-                    continue
-                v = pts[j] - pts[i]
-                if kind == "conical":
-                    hit = cone_contains(cone, u, v)
-                else:
-                    hit = cylinder_contains(cyl, u, v)
-                if hit:
-                    total += translation_weight(pattern.window, v)
-        values.append(total / rho2)
+        values.append(loop_k(pattern, u, cone if kind == "conical" else cyl))
     return np.array(values)
 
 
@@ -524,7 +522,7 @@ def full_mask_numerators(pairs, directions, kinds, r_grid, aspects):
     arrays and bins with ``searchsorted``."""
     out = np.empty((len(aspects), len(kinds), len(directions), len(r_grid)))
     for d, u in enumerate(directions):
-        axial_abs, radial = _axial_radial(pairs, u)
+        axial_abs, radial = _axial_radial(pairs.vec, u)
         for i, a in enumerate(aspects):
             _, cone = equal_shape_link(1.0, a)
             for j, kind in enumerate(kinds):
@@ -552,7 +550,7 @@ class TestFusedKernel:
         # formula that cylinder_contains uses, for every direction
         with np.errstate(over="ignore", invalid="ignore"):
             pairs = PatternPairs(vec, _norms(vec), np.ones(len(vec)))
-            axial_abs, radial = _axial_radial(pairs, u)
+            axial_abs, radial = _axial_radial(pairs.vec, u)
             axial = vec @ u
             expected = _norms(vec - np.multiply.outer(axial, u))
         assert axial_abs.tobytes() == np.abs(axial).tobytes()
@@ -609,6 +607,51 @@ class TestFusedKernel:
                 for d, u in enumerate(directions):
                     single = k_profile(pattern, u, kind, grid, a).values
                     assert (fused[i, j, d] / rho2).tobytes() == single.tobytes()
+
+
+class TestSingleElementsOnTheKernel:
+    """`conical_k` and `cylindrical_k` are one-element kernel calls; a plain
+    loop over the closed-boundary membership tests is their oracle."""
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 30),
+           sides=arrays(np.float64, 3, elements=st.floats(0.5, 2.0)), u=DIRECTIONS,
+           theta=st.one_of(st.just(math.pi / 2), st.floats(1e-3, math.pi / 2)),
+           r_cn=st.floats(0.01, 0.45), r_cl=st.floats(0.01, 0.3), h=st.floats(0.01, 0.3))
+    def test_equal_a_plain_loop_over_membership(self, seed, n, sides, u, theta, r_cn, r_cl, h):
+        # any angle up to pi/2, h below and above r_cl, oblique axes and
+        # non-cubic windows: elements outside the equal-shape family
+        lo = np.random.default_rng(seed).uniform(-1.0, 1.0, 3)
+        points = lo + sides * np.random.default_rng(seed).random((n, 3))
+        pattern = PointPattern(points, BoxWindow(lo, lo + sides))
+        cone = ConeParams(r_cn * float(np.min(sides)), theta)
+        cyl = CylinderParams(r_cl * float(np.min(sides)), h * float(np.min(sides)))
+        assert conical_k(pattern, u, cone) == pytest.approx(loop_k(pattern, u, cone),
+                                                            rel=1e-12, abs=0.0)
+        assert cylindrical_k(pattern, u, cyl) == pytest.approx(loop_k(pattern, u, cyl),
+                                                               rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("u", [X_AXIS, Z_AXIS])
+    def test_pairs_on_the_boundary_count(self, u):
+        # every coordinate is 0, r_cl or h, so displacements of exactly h
+        # along the axis (the flat face), r_cl across it (the rim) and h in
+        # norm (the cone's slant) occur; (h / r_cl) * r_cl rounds below h here
+        r_cl, h = 0.1, 0.22
+        assert (h / r_cl) * r_cl < h
+        grid = np.array([0.0, r_cl, h])
+        points = np.stack(np.meshgrid(grid, grid, grid), axis=-1).reshape(-1, 3)
+        pattern = PointPattern(points, unit_cube())
+        cyl = CylinderParams(r_cl, h)
+        face, rim = h * u, r_cl * np.roll(u, 1)
+        assert cylinder_contains(cyl, u, face) and cylinder_contains(cyl, u, rim)
+        assert cylinder_contains(cyl, u, face + rim)  # the corner: both at once
+        assert cylindrical_k(pattern, u, cyl) == pytest.approx(loop_k(pattern, u, cyl),
+                                                               rel=1e-12, abs=0.0)
+        for theta in (math.pi / 4, math.pi / 2):
+            cone = ConeParams(h, theta)
+            assert cone_contains(cone, u, face)
+            assert conical_k(pattern, u, cone) == pytest.approx(loop_k(pattern, u, cone),
+                                                                rel=1e-12, abs=0.0)
 
 
 @st.composite

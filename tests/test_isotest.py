@@ -198,6 +198,22 @@ class TestRunTest:
         with pytest.raises(ValueError, match=r"choose r2 < 0\.316227$"):
             power_curve_from_patterns(pats, cfg(), [0.4], threads=2, aspects=[2.0, 3.0])
 
+    def test_refuses_r2_too_small_for_the_grid_before_any_work(self, monkeypatch):
+        # np.linspace(0, 1e-320, 512) steps by a subnormal, so its radii fall
+        # out of order; the refusal names r2 and the smallest admissible one
+        pats = simulate_campaign(ModelSpec.poisson(100.0), unit_cube(), 3, seed=15)
+
+        def unreachable(*args, **kwargs):
+            raise AssertionError("the sweep started")
+
+        monkeypatch.setattr("aniso3d.isotest.parallel_map", unreachable)
+        monkeypatch.setattr("aniso3d.estimate._pair_keys", unreachable)
+        with pytest.raises(ValueError, match=r"^r2 9\.99989e-321 is too small for a grid of 512 "
+                           r"radii: .* so choose r2 >= 1\.1370127416971799e-305$"):
+            run_test(pats, TestConfig("conical", 2.0, 1e-320))
+        with pytest.raises(ValueError, match=r"choose r2 >= 2\.2250738585072014e-308$"):
+            power_curve_from_patterns(pats, cfg(grid_points=2), [1e-310, 1e-309], threads=2)
+
     @pytest.mark.parametrize("threads", [1, 2])
     @pytest.mark.parametrize("side", [1e-60, 1e120])
     def test_refuses_window_out_of_float_scale_before_any_work(self, monkeypatch, side,
