@@ -23,7 +23,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .estimate import check_grid_step, check_r_max, check_window_scale, default_r_grid, pooled_k
+from .estimate import GRID_POINTS, check_window_scale, even_grid, pooled_k
 from .estimate import pooled_profile  # unused; perfbench/tracecli.py wraps this name
 from .geometry import X_AXIS, Y_AXIS, Z_AXIS
 from .isotest import TestConfig, check_sweep, power_curve_from_patterns
@@ -144,8 +144,8 @@ _OPTIONS = {
                       "2", _READ, "aspect ratio a > 1 (test and power: a list)"),
     "r_max": _Option(_checked(float, lambda r: r > 0.0, "must be positive"), None,
                      ("estimate",), "largest cylinder radius"),
-    "grid": _Option(_checked(int, lambda n: n >= 2, "needs at least 2 grid radii"), "512",
-                    _READ, "number of grid radii"),
+    "grid": _Option(_checked(int, lambda n: n >= 2, "needs at least 2 grid radii"),
+                    str(GRID_POINTS), _READ, "number of grid radii"),
     "directions": _Option(_directions, "x,y,z", ("estimate",), "comma list from x,y,z"),
     "r2_grid": _Option(_checked(_float_list, lambda v: v[0] > 0.0 and all(np.diff(v) > 0.0),
                                 "values must be positive and strictly ascending"),
@@ -300,13 +300,7 @@ def cmd_estimate(args, config) -> None:
     r_max = _resolve(args, config, "r_max")
 
     sources = _input_sources(source)
-    window = sources[0].window
-    if r_max is None:
-        grid = default_r_grid(window, a, n_grid)
-    else:
-        check_r_max(window, a, r_max, "--r-max")
-        check_grid_step(r_max, n_grid, "--r-max")
-        grid = np.linspace(0.0, r_max, n_grid)
+    grid = even_grid(sources[0].window, [a], r_max, n_grid, "--r-max")
     r_max = float(grid[-1])  # linspace writes its endpoint exactly
 
     # (kind, direction, radius) pooled over replicates; columns are kind-major

@@ -52,6 +52,10 @@ __all__ = [
 
 KINDS = ("conical", "cylindrical")
 
+# the default count of radii of a profile grid: `default_r_grid`, `TestConfig`
+# and the CLI's --grid
+GRID_POINTS = 512
+
 # pairs formed and added at a time by `replicate_numerators`, so that its scratch
 # is bounded by this and the sorted pair keys (4 bytes a pair up to 65536 points),
 # not by the pair count; a replicate of 500 points is one slice
@@ -241,14 +245,28 @@ def check_r_max(window: BoxWindow, a: float, r_max: float, what: str) -> None:
     check_window_scale(window)
 
 
-def check_grid_step(r_max: float, n: int, what: str) -> None:
-    """Refuse a top radius ``r_max`` whose even grid of ``n`` radii from 0 steps
+def even_grid(window: BoxWindow, aspects, r_max, n: int, what: str) -> np.ndarray:
+    """The one even radius grid: ``n`` radii from 0 to ``r_max``, which passes
+    `check_r_max` at every aspect (naming it ``what``).  ``r_max`` None takes
+    the default top, 0.45 of the radius at which the largest aspect's cone
+    slant meets the smallest window side.  Then refuse a top whose step falls
     below the normal floats, where `np.linspace` rounds radii out of order,
-    naming it ``what`` with the least admissible one, exact in its repr."""
+    naming the least admissible one, exact in its repr, and the window's
+    smallest side for the default top."""
+    if r_max is None:
+        side = float(np.min(window.sides))
+        _, cone = equal_shape_link(1.0, max(aspects))
+        r_max = 0.45 * (side / cone.r_cn)
+        named = f"the default {what} {r_max:.6g} of a window of smallest side {side:.6g}"
+    else:
+        named = f"{what} {r_max:.6g}"
+    for a in aspects:
+        check_r_max(window, a, r_max, what)
     if not r_max / (n - 1) >= sys.float_info.min:  # the step np.linspace forms
         least = (n - 1) * sys.float_info.min  # a whole multiple of a power of 2: exact
-        raise ValueError(f"{what} {r_max:.6g} is too small for a grid of {n} radii: its "
-                         f"step must stay a normal float, so choose {what} >= {least!r}")
+        raise ValueError(f"{named} is too small for a grid of {n} radii: its step must "
+                         f"stay a normal float, so choose {what} >= {least!r}")
+    return np.linspace(0.0, r_max, n)
 
 
 def check_window_scale(window: BoxWindow) -> None:
@@ -437,10 +455,11 @@ def pooled_profile(sources, u, kind: str, r_grid, a: float) -> KProfile:
     return KProfile(kind, u, r_grid, pooled_k(sources, [u], [kind], r_grid, [a])[0, 0, 0], a)
 
 
-def default_r_grid(window: BoxWindow, a: float, n: int = 512) -> np.ndarray:
-    """``n`` evenly spaced radii from 0 to 0.45 of ``min_side / sqrt(a^2 + 1)``.
+def default_r_grid(window: BoxWindow, a: float, n: int = GRID_POINTS) -> np.ndarray:
+    """``n`` evenly spaced radii from 0 to 0.45 of ``min_side / sqrt(a^2 + 1)``,
+    the `even_grid` of the default top.
 
     There the cone's slant meets the smallest window side, the bound of
-    `check_r_max` up to its 1e-9 slack, so the grid always passes it."""
-    _, cone = equal_shape_link(1.0, a)
-    return np.linspace(0.0, 0.45 * (float(np.min(window.sides)) / cone.r_cn), n)
+    `check_r_max` up to its 1e-9 slack, so the top always passes it; a window
+    too thin for a normal step, or out of `check_window_scale`, is refused."""
+    return even_grid(window, [a], None, n, "r_max")

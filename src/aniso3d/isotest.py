@@ -47,7 +47,7 @@ from functools import partial
 import numpy as np
 
 from ._parallel import parallel_map
-from .estimate import KINDS, check_grid_step, check_kinds, check_r_max, replicate_numerators
+from .estimate import GRID_POINTS, KINDS, check_kinds, even_grid, replicate_numerators
 from .estimate import pair_numerators  # unused; perfbench/tracecli.py wraps this name
 from .estimate import pattern_pairs  # unused; perfbench/tracecli.py wraps this name
 from .geometry import X_AXIS, Y_AXIS, Z_AXIS
@@ -81,7 +81,7 @@ class TestConfig:
     r2: float
     r1: float = 0.0
     alpha_level: float = 0.05
-    grid_points: int = 512
+    grid_points: int = GRID_POINTS
 
     def __post_init__(self):
         check_kinds([self.kind])
@@ -186,9 +186,11 @@ def _replicate_statistics(pattern, kinds, aspects, r_grid, r1, r2_grid) -> np.nd
 
 def check_sweep(window, m: int, cfg: TestConfig, r2_grid, kinds, aspects, what: str):
     """The one statement of a sweep's rules, checked before any work: at least
-    2 replicates, bounds ascending above ``cfg.r1``, `check_kinds`, a list of
-    aspects holding ``cfg.a``, and `check_grid_step` and `check_r_max` (naming
-    ``what``).  Returns the bounds, kinds and aspects as an array, a tuple and a list."""
+    2 replicates, bounds ascending above ``cfg.r1``, a list of aspects,
+    `check_kinds`, the `even_grid` of ``cfg.grid_points`` radii up to the
+    largest bound (naming it ``what``), and ``cfg.a`` among the aspects.
+    Returns the bounds, kinds, aspects and the profile grid as an array, a
+    tuple, a list and an array."""
     if m < 2:
         raise ValueError(f"the test needs at least 2 replicates, got {m}")
     r2_grid = np.asarray(r2_grid, dtype=float)
@@ -196,7 +198,6 @@ def check_sweep(window, m: int, cfg: TestConfig, r2_grid, kinds, aspects, what: 
         raise ValueError("r2_grid must be nonempty and strictly ascending")
     if not r2_grid[0] > cfg.r1:
         raise ValueError("every r2 must exceed r1")
-    check_grid_step(r2_grid[-1], cfg.grid_points, what)
     not_a_list = ValueError(f"aspects must be a list of aspect ratios, got {aspects!r}")
     if isinstance(aspects, str) or not np.iterable(aspects):
         raise not_a_list
@@ -207,11 +208,10 @@ def check_sweep(window, m: int, cfg: TestConfig, r2_grid, kinds, aspects, what: 
     if not aspects:
         raise ValueError("need at least one aspect ratio")
     kinds = check_kinds(kinds)
-    for a in aspects:
-        check_r_max(window, a, r2_grid[-1], what)
+    r_grid = even_grid(window, aspects, r2_grid[-1], cfg.grid_points, what)
     if cfg.a not in aspects:
         raise ValueError(f"the configured aspect ratio {cfg.a} is not among {aspects}")
-    return r2_grid, kinds, aspects
+    return r2_grid, kinds, aspects, r_grid
 
 
 def _sweep(sources, cfg: TestConfig, r2_grid, kinds, aspects, threads: int):
@@ -225,9 +225,8 @@ def _sweep(sources, cfg: TestConfig, r2_grid, kinds, aspects, threads: int):
     reduced to nothing, and refused here before any decision."""
     sources = list(sources)
     window = source_window(sources[0]) if sources else None
-    r2_grid, kinds, aspects = check_sweep(window, len(sources), cfg, r2_grid, kinds, aspects,
-                                          "r2")
-    r_grid = np.linspace(0.0, float(r2_grid[-1]), cfg.grid_points)
+    r2_grid, kinds, aspects, r_grid = check_sweep(window, len(sources), cfg, r2_grid, kinds,
+                                                  aspects, "r2")
     reduce = partial(_replicate_statistics, kinds=kinds, aspects=aspects, r_grid=r_grid,
                      r1=cfg.r1, r2_grid=r2_grid.tolist())
     counts, stats = zip(*parallel_map(

@@ -20,7 +20,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import _parallel
-from .geometry import Z_AXIS, _as_points, close_pairs
+from .geometry import _as_points, close_pairs
 
 __all__ = [
     "BoxWindow",
@@ -253,11 +253,6 @@ def _margin(window: BoxWindow, *scales: float) -> float:
     return max(*scales, 0.1 * float(np.max(window.sides)))
 
 
-# the lines' frame (e1, e2, u): a point is formed as l1 e1 + l2 e2 + t u, in this
-# order and with these signed zeros, which the fixed-seed outputs pin
-_E1, _E2 = np.array([0.0, -1.0, 0.0]), np.array([1.0, 0.0, -0.0])
-
-
 def simulate_plcpp(model: ModelSpec, window: BoxWindow, seed, return_lines: bool = False):
     """Poisson line cluster process with lines parallel to z.
 
@@ -272,38 +267,24 @@ def simulate_plcpp(model: ModelSpec, window: BoxWindow, seed, return_lines: bool
     """
     _check_generated(model, "plcpp")
     rng = replicate_rng(seed)
-    e1, e2, u = _E1, _E2, Z_AXIS
-
     big = window.dilated(_margin(window, 5.0 * model.sigma))
-    corners = np.array(
-        [[x, y, z] for x in (big.lo[0], big.hi[0])
-         for y in (big.lo[1], big.hi[1])
-         for z in (big.lo[2], big.hi[2])]
-    )
-    c1 = corners @ e1
-    c2 = corners @ e2
-    t = corners @ u
-    area = (c1.max() - c1.min()) * (c2.max() - c2.min())
-    span = t.max() - t.min()
+    (x0, y0, z0), (x1, y1, z1) = big.lo, big.hi
 
-    n_lines = rng.poisson(model.rho_l * area)
-    line1 = rng.uniform(c1.min(), c1.max(), n_lines)
-    line2 = rng.uniform(c2.min(), c2.max(), n_lines)
-    counts = rng.poisson(model.alpha * span, n_lines)
+    # a line's coordinates (l1, l2) are (-y, x), drawn in this order, which
+    # the fixed-seed outputs pin
+    n_lines = rng.poisson(model.rho_l * ((y1 - y0) * (x1 - x0)))
+    line1 = rng.uniform(-y1, -y0, n_lines)
+    line2 = rng.uniform(x0, x1, n_lines)
+    counts = rng.poisson(model.alpha * (z1 - z0), n_lines)
     total = int(counts.sum())
-    axial = rng.uniform(t.min(), t.max(), total)
+    axial = rng.uniform(z0, z1, total)
     parent = np.repeat(np.arange(n_lines), counts)
     disp = rng.normal(0.0, model.sigma, (total, 2)) if model.sigma > 0 else np.zeros((total, 2))
 
-    pts = (
-        np.multiply.outer(line1[parent] + disp[:, 0], e1)
-        + np.multiply.outer(line2[parent] + disp[:, 1], e2)
-        + np.multiply.outer(axial, u)
-    )
+    pts = np.column_stack([line2[parent] + disp[:, 1], -(line1[parent] + disp[:, 0]), axial])
     pattern = PointPattern(pts[window.contains(pts)], window)
     if return_lines:
-        feet = np.multiply.outer(line1, e1) + np.multiply.outer(line2, e2)
-        return pattern, feet
+        return pattern, np.column_stack([line2, -line1, np.zeros(n_lines)])
     return pattern
 
 

@@ -208,6 +208,11 @@ class TestPatternFiles:
         assert len(pats) == 2
         assert pats[0].points[0, 2] == pytest.approx(0.1)
 
+    def test_directory_without_patterns_is_refused(self, tmp_path):
+        (tmp_path / "manifest.txt").write_text("m = 0\n")  # not a pattern file
+        with pytest.raises(ValueError, match=r"^no pattern files \(\*\.txt\) found in "):
+            read_patterns(tmp_path)
+
 
 class TestParallelMap:
     def test_starts_at_most_one_worker_per_item(self, monkeypatch):
@@ -527,6 +532,26 @@ class TestEstimateCommand:
                        "1.1370127416971799e-305\n")
         assert run_cli("estimate", "--input", campaign, "--r-max", err.rsplit(" ", 1)[1],
                        "--threads", "1", "--out", out) == 0
+
+    @pytest.mark.parametrize("side", [1e-305, 1e-318])
+    def test_default_grid_refuses_window_too_thin_for_a_normal_step(self, tmp_path, capsys,
+                                                                     monkeypatch, side):
+        # the default top, 0.45 side / sqrt(5), steps by a subnormal over 511 steps;
+        # the refusal names the window's smallest side
+        def unreachable(*args, **kwargs):
+            raise AssertionError("pairs were extracted")
+
+        window = BoxWindow(np.zeros(3), np.array([1e150, 1e150, side]))
+        path = tmp_path / "thin.txt"
+        write_pattern(path, PointPattern([[1.0, 1.0, 0.0], [2.0, 2.0, side]], window))
+        monkeypatch.setattr("aniso3d.estimate._pair_keys", unreachable)
+        out = tmp_path / "x.csv"
+        assert run_cli("estimate", "--input", path, "--threads", "1", "--out", out) == 1
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert err.startswith("error: the default --r-max ")
+        assert (f" of a window of smallest side {side:.6g} is too small for a grid of 512 "
+                f"radii: its step must stay a normal float, so choose --r-max >= ") in err
 
     @pytest.mark.parametrize("command, extra", [("estimate", []),
                                                 ("test", ["--r2-grid", "0.05"])])
@@ -1086,6 +1111,7 @@ class TestOptionTable:
          "--model packing does not take --rho-l, --alpha, --sigma"),
         ("power", ["--model", "plcpp", "--rho-l", "200", "--sigma", "0.01",
                    "--hardcore-r", "0.05"], None, "--model plcpp does not take --hardcore-r"),
+        ("power", ["--model", "plcpp", "--sigma", "0.01"], None, "plcpp needs --rho-l or --alpha"),
     ])
     def test_bad_value_names_its_flag(self, campaign, tmp_path, capsys, command, extra,
                                       config, message):

@@ -1,7 +1,9 @@
-"""Each demo script, and README's library quickstart, runs to completion with no warning."""
+"""Each demo script, and README's library quickstart, runs to completion with no
+warning; README's CLI examples parse."""
 
 import os
 import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -9,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import aniso3d
+from aniso3d import cli
 
 ROOT = Path(__file__).resolve().parents[1]
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
@@ -41,3 +44,17 @@ def test_readme_quickstart_runs(tmp_path, pytestconfig):
     done = run_python(["-c", blocks[0]], tmp_path, pytestconfig)
     assert done.returncode == 0, done.stderr[-2000:]
     assert done.stdout == "0.99\n"  # the power it prints on its fixed seed
+
+
+def test_readme_cli_examples_parse():
+    # every aniso3d command of README's sh blocks, so that a renamed or removed
+    # flag cannot go without the README changing too
+    blocks = re.findall(r"^```sh\n(.*?)^```", (ROOT / "README.md").read_text(),
+                        re.DOTALL | re.MULTILINE)
+    lines = [line for block in blocks for line in block.replace("\\\n", " ").splitlines()]
+    argvs = [shlex.split(line, comments=True) for line in lines]
+    argvs = [argv[1:] for argv in argvs if argv[:1] == ["aniso3d"]]
+    assert len(argvs) == 4
+    parser = cli._build_parser()
+    for argv in argvs:
+        parser.parse_args(argv)  # exits 2 on a flag it does not know

@@ -229,6 +229,15 @@ class TestProfiles:
         prof = k_profile(two_point_pattern(), Z_AXIS, "conical", [], 2.0)
         assert prof.values.size == 0
 
+    def test_grid_of_radius_zero_alone(self):
+        # its search extent is 0, where no element of radius 0 can be built
+        prof = k_profile(two_point_pattern(), Z_AXIS, "conical", [0.0], 2.0)
+        assert prof.values.tolist() == [0.0]
+
+    def test_refuses_grid_that_is_not_one_dimensional(self):
+        with pytest.raises(ValueError, match="^r_grid must be one-dimensional$"):
+            k_profile(two_point_pattern(), Z_AXIS, "conical", [[0.0, 0.1]], 2.0)
+
     def test_grid_range_error(self):
         with pytest.raises(ValueError, match="extent"):
             k_profile(two_point_pattern(), Z_AXIS, "conical", [0.1, 0.5], 2.0)
@@ -273,6 +282,19 @@ class TestProfiles:
         grid = default_r_grid(unit_cube(), 2.0, n=128)
         assert len(grid) == 128 and grid[0] == 0.0
         assert grid[-1] == pytest.approx(0.45 / math.sqrt(5.0))
+
+    def test_default_grid_refuses_window_too_thin_for_a_normal_step(self):
+        # 0.45 side / sqrt(5) over 511 steps is a normal float down to a side of
+        # about 5.65e-305, as np.linspace needs for radii in order
+        def window(side):
+            return BoxWindow(np.zeros(3), np.array([1e150, 1e150, side]))
+
+        grid = default_r_grid(window(5.7e-305), 2.0)
+        assert grid.size == 512 and np.all(np.diff(grid) > 0.0)
+        for side in (5.6e-305, 1e-305, 1e-318):
+            with pytest.raises(ValueError, match=rf"^the default r_max \S+ of a window of "
+                               rf"smallest side {side:.6g} is too small for a grid of 512 radii"):
+                default_r_grid(window(side), 2.0)
 
 
 class TestPooling:
@@ -486,6 +508,15 @@ class TestReplicateNumerators:
             tracemalloc.stop()
         assert pairs > 10 * estimate._PAIR_BUDGET  # many slices
         assert peak <= bound
+
+    def test_no_directions_form_no_pairs(self, monkeypatch):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("pair rows were formed")
+
+        monkeypatch.setattr("aniso3d.estimate._pair_rows", unreachable)
+        pattern = simulate_poisson(ModelSpec.poisson(300.0), unit_cube(), 21)
+        num, mass = replicate_numerators(pattern, [], ["conical"], [0.0, 0.05], [2.0])
+        assert num.shape == (1, 1, 0, 2) and mass == intensity_sq_hat(pattern)
 
     @pytest.mark.parametrize("points", [np.empty((0, 3)), [[0.5, 0.5, 0.5]]])
     def test_fewer_than_two_points_give_zero_mass(self, points):

@@ -460,6 +460,9 @@ class TestClosePairs:
             close_pairs(pts, 0.1, np.ones(3))
         with pytest.raises(ValueError, match="positive 3-vector"):
             close_pairs(pts, 0.1, np.array([1.0, 0.0, 1.0]))
+        with pytest.raises(ValueError,
+                           match=r"^points must be an \(n, 3\) array, got shape \(3,\)$"):
+            close_pairs(pts[0], 0.1)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_rejects_non_finite_points(self, bad):
@@ -506,8 +509,14 @@ class TestNonFiniteSizes:
         with pytest.raises(ValueError, match="^direction must have unit norm, got"):
             as_direction(u)
 
+    def test_direction_of_another_shape(self):
+        # a unit 2-vector, whose norm alone would pass
+        with pytest.raises(ValueError, match=r"^direction must be a 3-vector, got shape \(2,\)$"):
+            as_direction([1.0, 0.0])
+
     @pytest.mark.parametrize("build, message", [
         (lambda: ConeParams(math.inf, 0.4), "cone slant height must be positive and finite"),
+        (lambda: ConeParams(1.0, math.nan), "cone half angle must be in (0, pi/2], got nan"),
         (lambda: CylinderParams(math.inf, 1.0), "cylinder radius must be positive and finite"),
         (lambda: CylinderParams(1.0, math.inf),
          "cylinder half height must be positive and finite"),
@@ -516,8 +525,8 @@ class TestNonFiniteSizes:
          "no finite slant height > 1.0 matches the cylinder volume"),
         (lambda: equal_volume_link(CylinderParams(1.0, 1.0), math.inf),
          "cone half height must be positive and finite"),
-    ], ids=["cone inf", "cylinder radius inf", "cylinder height inf", "shape link inf",
-            "volume link overflow", "volume link inf"])
+    ], ids=["cone inf", "cone angle nan", "cylinder radius inf", "cylinder height inf",
+            "shape link inf", "volume link overflow", "volume link inf"])
     def test_element_sizes(self, build, message):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
             build()

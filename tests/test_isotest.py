@@ -122,6 +122,8 @@ class TestConfigValidation:
             TestConfig(kind="conical", a=2.0, r2=0.05, grid_points=1)
         with pytest.raises(ValueError, match="kind"):
             TestConfig(kind="ball", a=2.0, r2=0.05)
+        with pytest.raises(ValueError, match=r"^aspect ratio must exceed 1, got 1\.0$"):
+            TestConfig(kind="conical", a=1.0, r2=0.05)
 
     @pytest.mark.parametrize("points", [2.5, 64.0, "64"])
     def test_refuses_non_integral_grid_points(self, points):
@@ -390,6 +392,8 @@ class TestPowerCurve:
         pats = simulate_campaign(ModelSpec.poisson(200.0), unit_cube(), 5, seed=10)
         with pytest.raises(ValueError, match="ascending"):
             power_curve_from_patterns(pats, cfg(), [0.05, 0.05])
+        with pytest.raises(ValueError, match="^every r2 must exceed r1$"):
+            power_curve_from_patterns(pats, cfg(r1=0.05), [0.05, 0.1])
 
     @pytest.mark.parametrize("bounds", [[0.05, np.nan, 0.1], [0.05, 0.1, np.nan]])
     def test_refuses_nan_bound(self, bounds):

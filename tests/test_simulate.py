@@ -105,6 +105,10 @@ class TestWindowAndPattern:
         with pytest.raises(ValueError, match="extent"):
             BoxWindow(np.zeros(3), np.array([1.0, 0.0, 1.0]))
 
+    def test_window_requires_3_vectors(self):
+        with pytest.raises(ValueError, match="^window bounds must be 3-vectors$"):
+            BoxWindow(np.zeros(2), np.ones(2))
+
     @pytest.mark.parametrize("lo, hi", [([0.0, 0.0, 0.0], [math.inf, 1.0, 1.0]),
                                         ([0.0, -math.inf, 0.0], [1.0, 1.0, 1.0]),
                                         ([0.0, 0.0, math.nan], [1.0, 1.0, 1.0])])
@@ -568,3 +572,5 @@ class TestModelSpec:
         for a, b in zip(one, two):
             npt.assert_array_equal(a.points, b.points)
         assert not np.array_equal(one[0].points, one[1].points)
+        with pytest.raises(ValueError, match="^need at least one replicate, got 0$"):
+            simulate_campaign(model, unit_cube(), 0, seed=6)
